@@ -8,7 +8,7 @@ coefficients obey canonical commutation relations.
 """
 
 from hurwitzlab.fock import (
-    a_commutator_check,
+    a_commutator_suite,
     a_connected,
     a_correlator,
     alpha_apply,
@@ -47,4 +47,4 @@ print("  ", a_connected((1, 3), 0).coeff(0))
 
 print()
 print("commutation relation [A_1, A_0] = identity on test states:")
-print("  ", a_commutator_check(1, 0, cutoff=7)["status"])
+print("  ", a_commutator_suite(kmax=1, cutoff=7)[(1, 0)])

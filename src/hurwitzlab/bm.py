@@ -100,10 +100,6 @@ def _pow_tables(s: Series, maxp: int, order: int):
     return pos, neg
 
 
-def _embed(poly: MultiPoly, nvars: int, mapping) -> MultiPoly:
-    return poly.embed(nvars, mapping)
-
-
 def _eval_w_one_series(w: MultiPoly, inv_pows, tvars, nvars) -> Series:
     """W(1/s, t_{tvars}) as a z-series with n-variable polynomial coefficients."""
     acc = Series.zero(inv_pows[0].order)
@@ -111,7 +107,7 @@ def _eval_w_one_series(w: MultiPoly, inv_pows, tvars, nvars) -> Series:
     for p, coef in enumerate(w.as_poly_in(0)):
         if coef.is_zero():
             continue
-        acc = acc + inv_pows[p] * _embed(coef, nvars, mapping)
+        acc = acc + inv_pows[p] * coef.embed(nvars, mapping)
     return acc
 
 
@@ -125,7 +121,7 @@ def _eval_w_two_series(w: MultiPoly, inv1, inv2, tvars, nvars) -> Series:
         for q, cq in enumerate(cp.as_poly_in(1)):
             if cq.is_zero():
                 continue
-            acc = acc + (inv1[p] * inv2[q]) * _embed(cq, nvars, mapping)
+            acc = acc + (inv1[p] * inv2[q]) * cq.embed(nvars, mapping)
     return acc
 
 
@@ -286,8 +282,8 @@ def bm_step_projection(g: int, n: int) -> MultiPoly:
             for b, c2 in enumerate(extra):
                 if c2.is_zero():
                     continue
-                acc = acc + (t1_pows[a] * t1_pows[b] if slots == 2 else t1_pows[a]) * _embed(
-                    c2, nvars, mapping
+                acc = acc + (t1_pows[a] * t1_pows[b] if slots == 2 else t1_pows[a]) * c2.embed(
+                    nvars, mapping
                 )
         return acc
 
@@ -337,21 +333,14 @@ def w_poly(g: int, n: int) -> MultiPoly:
         raise ValueError(f"unstable (g, n) = ({g}, {n})")
     key = (g, n)
     if key not in _W_CACHE:
-        form = "zs" if (g, n) == (1, 1) else "zz"
-        _W_CACHE[key] = bm_step(g, n, form)
+        _W_CACHE[key] = bm_step(g, n, _w_form(g, n))
     return _W_CACHE[key]
 
 
-def w_from_fit(g: int, n: int, grid_side=None, holdout: int = 2) -> MultiPoly:
-    """Reconstruction sum_k c_k prod rho_{k_i+1}(t_i) from the fitted P."""
-    fit = fit_P_polynomial(g, n, grid_side, holdout)
-    out = MultiPoly.zero(n)
-    for expts, c in fit.poly.terms.items():
-        term = MultiPoly.const(n, c)
-        for i, k in enumerate(expts):
-            term = term * rho_poly(k + 1).embed(n, [i])
-        out = out + term
-    return out
+def _w_form(g: int, n: int) -> str:
+    """The residue form w_poly computes: the mixed one at (1, 1), where the
+    equal-argument forms go through the regularized diagonal."""
+    return "zs" if (g, n) == (1, 1) else "zz"
 
 
 def h_poly_from_fit(g: int, n: int, grid_side=None, holdout: int = 2) -> MultiPoly:
@@ -364,6 +353,21 @@ def h_poly_from_fit(g: int, n: int, grid_side=None, holdout: int = 2) -> MultiPo
             term = term * rho_poly(k).embed(n, [i])
         out = out + term
     return out
+
+
+def w_from_fit(g: int, n: int, grid_side=None, holdout: int = 2) -> MultiPoly:
+    """Reconstruction sum_k c_k prod rho_{k_i+1}(t_i) from the fitted P,
+    as D_1...D_n H_{g,n} since rho_{k+1} = D rho_k."""
+    out = h_poly_from_fit(g, n, grid_side, holdout)
+    for i in range(n):
+        out = _apply_D_var(out, i)
+    return out
+
+
+def _apply_D_var(p: MultiPoly, k: int) -> MultiPoly:
+    """D_k = t_k^2 (t_k + 1) d/dt_k."""
+    tk = MultiPoly.var(p.nvars, k)
+    return tk**2 * (tk + 1) * p.deriv(k)
 
 
 # -- checks ---------------------------------------------------------------------------
@@ -385,10 +389,9 @@ def w_invariants(g: int, n: int) -> dict:
 
 
 def three_forms_agree(g: int, n: int) -> bool:
-    a = bm_step(g, n, "zz")
-    b = bm_step(g, n, "zs")
-    c = bm_step(g, n, "ss")
-    return a == b == c
+    """The two residue forms w_poly does not use reproduce its cached value."""
+    w = w_poly(g, n)
+    return all(bm_step(g, n, form) == w for form in ("zz", "zs", "ss") if form != _w_form(g, n))
 
 
 def x_expand_multi(poly: MultiPoly, x_order: int) -> dict:
@@ -457,11 +460,6 @@ def _tuples(n: int, hi: int):
 
 
 # -- the cut-and-join identity in t-variables ------------------------------------------
-
-
-def _apply_D_var(p: MultiPoly, k: int) -> MultiPoly:
-    tk = MultiPoly.var(p.nvars, k)
-    return tk**2 * (tk + 1) * p.deriv(k)
 
 
 def _h_stable(g: int, n: int, nvars: int, tvars) -> MultiPoly:

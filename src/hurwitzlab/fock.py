@@ -196,7 +196,7 @@ def e_operator_apply(n: int, j: int, v: FockVector, z_order: int = 8) -> FockVec
     out = FockVector({}, v.cutoff, v.truncated)
     if n == 0:
         for lam, c in v.coeffs.items():
-            w = _diagonal_e0_series(lam, max(j, z_order))
+            w = _diagonal_e0_x(lam, max(j, z_order))
             out.add(lam, c * w.coeff(j))
         return out
     if j < 0:
@@ -211,20 +211,6 @@ def e_operator_apply(n: int, j: int, v: FockVector, z_order: int = 8) -> FockVec
             rate = Fraction(jh - n, 2)  # the level minus n/2
             out.add(mu, c * sign * rate**j / factorial(j))
     return out
-
-
-@lru_cache(maxsize=None)
-def _diagonal_e0_series(lam: Partition, order: int) -> Series:
-    """E_0(z) eigenvalue on v_lambda: finite exponential sum plus 1/zeta(z)."""
-    acc = zeta_series(order + 2).reciprocal(order)
-    for i, a in enumerate(lam):
-        top = Fraction(2 * a - 2 * i - 1, 2)
-        bot = Fraction(-2 * i - 1, 2)
-        coeffs = [
-            (top**p - bot**p) / factorial(p) for p in range(order + 1)
-        ]
-        acc = acc + Series(0, coeffs, order)
-    return acc
 
 
 # -- the Hurwitz vacuum expectation ------------------------------------------------
@@ -378,11 +364,6 @@ def a_connected(mu, u_order: int, cutoff: int | None = None) -> Series:
     return connected_from_disconnected(disc, range(n), one).truncate(u_order)
 
 
-# the inclusion-exclusion over set partitions is shared verbatim with the
-# Hurwitz tables; re-exported here under its operator-side name
-connected_part = connected_from_disconnected
-
-
 def a_polynomiality_check(
     n: int, k: int, grid_side: int, holdout_points, cutoff: int | None = None
 ) -> dict:
@@ -394,9 +375,7 @@ def a_polynomiality_check(
     """
     if (n, k) in ((1, -1), (2, 0)):
         raise ValueError("unstable pair excluded from the polynomiality check")
-    from .hurwitz import _lagrange_basis
-    from itertools import product as iproduct
-    from .multipoly import MultiPoly
+    from .hurwitz import grid_interpolate
 
     def value(pt):
         conn = a_connected(tuple(pt), max(k, 0) + 1, cutoff)
@@ -405,31 +384,8 @@ def a_polynomiality_check(
             val /= z
         return val
 
-    s = grid_side
-    basis = _lagrange_basis(s)
-    vals = {pt: value(pt) for pt in iproduct(range(1, s + 1), repeat=n)}
-    for ax in range(n):
-        nxt: dict = {}
-        groups: dict = {}
-        for pt, v in vals.items():
-            rest = pt[:ax] + pt[ax + 1 :]
-            groups.setdefault(rest, {})[pt[ax]] = v
-        for rest, column in groups.items():
-            coeffs = [Fraction(0)] * s
-            for node, v in column.items():
-                if not v:
-                    continue
-                for p, bc in enumerate(basis[node - 1]):
-                    coeffs[p] += v * bc
-            for p, c in enumerate(coeffs):
-                if c:
-                    nxt[rest[:ax] + (p,) + rest[ax:]] = c
-        vals = nxt
-    poly = MultiPoly(n, vals)
-    holdout_ok = True
-    for pt in holdout_points:
-        if poly.eval(pt) != value(pt):
-            holdout_ok = False
+    poly = grid_interpolate(n, grid_side, value)
+    holdout_ok = all(poly.eval(pt) == value(pt) for pt in holdout_points)
     return {
         "n": n,
         "k": k,
@@ -593,83 +549,6 @@ def _op_apply(op, vec: dict, u_order: int) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def a_commutator_check(
-    k: int,
-    l: int,
-    z_order: int = 5,
-    u_order: int = 3,
-    cutoff: int = 6,
-    test_states=((), (1,), (2, 1), (3, 1, 1)),
-) -> dict:
-    """Check [A_k, A_l] = (-1)^l delta_{k+l-1} on test states, coefficientwise
-    in u, at two cutoffs.  Reports pass / fail / inconclusive."""
-
-    def run(cut):
-        # compose with u-headroom: products against Laurent entries lose
-        # validity, so extract deeper than the comparison window
-        u_work = u_order + cut + 2
-        matrix = a_symbolic_matrix(z_order, u_order, cut)
-        ops = a_k_operators(matrix, [k, l], u_work)
-        results = {}
-        for lam in test_states:
-            if energy(lam) > cut:
-                continue
-            vec = {tuple(lam): Series.const(Fraction(1), u_work)}
-            ab = _op_apply(ops[k], _op_apply(ops[l], vec, u_work), u_work)
-            ba = _op_apply(ops[l], _op_apply(ops[k], vec, u_work), u_work)
-            comm = dict(ab)
-            for nu, c in ba.items():
-                comm[nu] = comm.get(nu, Series.zero(u_work)) - c
-            comm = {nu: c for nu, c in comm.items() if not (hasattr(c, "is_zero") and c.is_zero())}
-            results[tuple(lam)] = comm
-        return results
-
-    first = run(cutoff)
-    second = run(cutoff + 2)
-    expected_scalar = Fraction((-1) ** l) if k + l == 1 else Fraction(0)
-    # dropped intermediate states leave artifacts on a top energy band whose
-    # depth grows with the operator indices; components below the band must
-    # be stable across cutoffs and equal the expected multiple of the identity
-    band = cutoff - max(abs(k), abs(l)) - 1
-    report = {"k": k, "l": l, "expected": expected_scalar, "states": {}, "status": "pass"}
-
-    def bump(status):
-        order = {"pass": 0, "inconclusive": 1, "fail": 2}
-        if order[status] > order[report["status"]]:
-            report["status"] = status
-
-    for lam in first:
-        if lam not in second or energy(lam) > band:
-            report["states"][lam] = "inconclusive"
-            bump("inconclusive")
-            continue
-        a, b = first[lam], second[lam]
-        verdict = "pass"
-        for nu in set(a) | set(b):
-            if energy(nu) > band:
-                continue  # edge artifact zone
-            ca = a.get(nu, Series.zero(u_order))
-            cb = b.get(nu, Series.zero(u_order))
-            lo = min(ca.low if not ca.is_zero() else 0, cb.low if not cb.is_zero() else 0)
-            for q in range(lo, u_order + 1):
-                if ca.coeff(q) != cb.coeff(q):
-                    verdict = "inconclusive"
-                    break
-                want = expected_scalar if (nu == lam and q == 0) else Fraction(0)
-                if ca.coeff(q) != want:
-                    verdict = "fail"
-                    break
-            if verdict != "pass":
-                break
-        if verdict == "pass" and expected_scalar != 0:
-            got = a.get(lam)
-            if got is None or got.coeff(0) != expected_scalar:
-                verdict = "fail"
-        report["states"][lam] = verdict
-        bump(verdict)
-    return report
-
-
 def a_commutator_suite(
     kmax: int = 3,
     z_order: int = 4,
@@ -677,11 +556,14 @@ def a_commutator_suite(
     cutoff: int = 7,
     test_states=((), (1,), (2, 1)),
 ) -> dict:
-    """Check [A_k, A_l] for all |k|, |l| <= kmax, sharing the two matrix
-    builds across pairs.  Returns {(k, l): status}."""
+    """Check [A_k, A_l] = (-1)^l delta_{k+l-1} for all |k|, |l| <= kmax on
+    test states, coefficientwise in u, at two cutoffs, sharing the two matrix
+    builds across pairs.  Returns {(k, l): "pass" | "fail" | "inconclusive"}."""
     ks = list(range(-kmax, kmax + 1))
 
     def run_all(cut):
+        # compose with u-headroom: products against Laurent entries lose
+        # validity, so extract deeper than the comparison window
         u_work = u_order + cut + 2
         matrix = a_symbolic_matrix(z_order, u_order, cut)
         ops = a_k_operators(matrix, ks, u_work)
@@ -709,6 +591,10 @@ def a_commutator_suite(
     statuses = {}
     for k in ks:
         for l in ks:
+            # dropped intermediate states leave artifacts on a top energy band
+            # whose depth grows with the operator indices; components below
+            # the band must be stable across cutoffs and equal the expected
+            # multiple of the identity
             band = cutoff - max(abs(k), abs(l)) - 1
             expected = Fraction((-1) ** l) if k + l == 1 else Fraction(0)
             status = "pass"
@@ -773,12 +659,10 @@ __all__ = [
     "a_vev",
     "a_correlator",
     "a_connected",
-    "connected_part",
     "a_polynomiality_check",
     "h_from_a_correlator",
     "a_symbolic_matrix",
     "a_k_operators",
-    "a_commutator_check",
     "a_commutator_suite",
     "a_vacuum_expectation_symbolic",
     "TruncationUnstable",

@@ -316,11 +316,8 @@ def hodge_table(gcap: int = 2, ncap: int = 5, kcap: int = 6) -> list:
     """Exportable table of Hodge integrals keyed by (g, k-list)."""
     from .rationals import rational_to_str
 
-    pot = hodge_potential(2, 8, 8)
     rows = []
-    for (g, mono), c in sorted(pot.items()):
-        if g > gcap or len(mono) > ncap or (mono and mono[0] > kcap):
-            continue
+    for (g, mono), c in sorted(hodge_potential(gcap, ncap, kcap).items()):
         rows.append(
             {
                 "g": g,

@@ -434,30 +434,11 @@ def _lagrange_basis(s: int):
     return basis
 
 
-_FIT_CACHE: dict = {}
-
-
-def fit_P_polynomial(g: int, n: int, grid_side=None, holdout: int = 2, value_fn=None) -> PPoly:
-    """Interpolate P_{g,n} on an integer grid and verify it on holdout points.
-
-    A holdout mismatch is disproof-grade and raises PolynomialityError.
-    Degree-bound violations are recorded in the report, not hidden.
-    """
-    if (g, n) in ((0, 1), (0, 2)):
-        raise ValueError("unstable (g, n) has no polynomial form")
-    deg_bound = 3 * g - 3 + n
-    if grid_side is None:
-        grid_side = 3 * g - 2 + n + 1
-    if grid_side < deg_bound + 1:
-        raise ValueError("grid side too small for the degree bound")
-    key = (g, n, grid_side, holdout, value_fn is None)
-    if key in _FIT_CACHE:
-        return _FIT_CACHE[key]
-    if value_fn is None:
-        value_fn = lambda mu: hurwitz_scaled_value(g, tuple(sorted(mu, reverse=True)))
-    s = grid_side
+def grid_interpolate(n: int, s: int, value_fn) -> MultiPoly:
+    """The polynomial of per-variable degree < s taking the values of
+    ``value_fn`` on the grid {1..s}^n (tensor-product Lagrange interpolation,
+    one axis at a time)."""
     basis = _lagrange_basis(s)
-    # tensor-product interpolation, one axis at a time
     vals = {pt: value_fn(pt) for pt in product(range(1, s + 1), repeat=n)}
     for ax in range(n):
         nxt = {}
@@ -476,7 +457,33 @@ def fit_P_polynomial(g: int, n: int, grid_side=None, holdout: int = 2, value_fn=
                 if c:
                     nxt[rest[:ax] + (k,) + rest[ax:]] = c
         vals = nxt
-    poly = MultiPoly(n, vals)
+    return MultiPoly(n, vals)
+
+
+_FIT_CACHE: dict = {}
+
+
+def fit_P_polynomial(g: int, n: int, grid_side=None, holdout: int = 2, value_fn=None) -> PPoly:
+    """Interpolate P_{g,n} on an integer grid and verify it on holdout points.
+
+    A holdout mismatch is disproof-grade and raises PolynomialityError.
+    Degree-bound violations are recorded in the report, not hidden.
+    """
+    if (g, n) in ((0, 1), (0, 2)):
+        raise ValueError("unstable (g, n) has no polynomial form")
+    deg_bound = 3 * g - 3 + n
+    if grid_side is None:
+        grid_side = 3 * g - 2 + n + 1
+    if grid_side < deg_bound + 1:
+        raise ValueError("grid side too small for the degree bound")
+    # a custom value_fn is not part of the key, so only the default fit is cached
+    key = (g, n, grid_side, holdout) if value_fn is None else None
+    if key in _FIT_CACHE:
+        return _FIT_CACHE[key]
+    if value_fn is None:
+        value_fn = lambda mu: hurwitz_scaled_value(g, tuple(sorted(mu, reverse=True)))
+    s = grid_side
+    poly = grid_interpolate(n, s, value_fn)
     report = {
         "grid_side": s,
         "per_var_degree": max((poly.degree(i) for i in range(n)), default=-1),
@@ -500,7 +507,8 @@ def fit_P_polynomial(g: int, n: int, grid_side=None, holdout: int = 2, value_fn=
             )
     report["holdout_ok"] = True
     result = PPoly(g, n, poly, report)
-    _FIT_CACHE[key] = result
+    if key is not None:
+        _FIT_CACHE[key] = result
     return result
 
 
@@ -519,5 +527,6 @@ __all__ = [
     "HurwitzTable",
     "PPoly",
     "hurwitz_scaled_value",
+    "grid_interpolate",
     "fit_P_polynomial",
 ]

@@ -73,12 +73,6 @@ def dim_hook(lam: Partition) -> int:
 def _border_strips(lam: Partition, size: int):
     """Yield (new_partition, height) for each removable border strip."""
     ell = len(lam)
-    # a strip of the given size ending in row i is determined by i; walk rows
-    for i in range(ell):
-        # candidate strip occupies rows i..j; find j by the rim condition
-        # new_i = lam[j] - (size - (consumed above)) ... use the classical
-        # beta-set trick: occupied first-column hooks
-        pass
     # beta-set formulation: mu obtained by moving a bead down by `size`
     beta = [lam[i] + ell - 1 - i for i in range(ell)]
     bset = set(beta)

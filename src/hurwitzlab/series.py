@@ -109,9 +109,6 @@ class Series:
             return Fraction(0)
         return self.coeffs[k - self.low]
 
-    def coeffs_through(self, lo, hi):
-        return [self.coeff(k) for k in range(lo, hi + 1)]
-
     def residue(self):
         """Coefficient of z^{-1}."""
         if self.order is not None and self.order < -1:
@@ -235,9 +232,6 @@ class Series:
         if self.order is not None and order is not None and order > self.order:
             order = self.order
         return Series(self.low, list(self.coeffs), order)
-
-    def map_coeffs(self, fn):
-        return Series(self.low, [fn(c) for c in self.coeffs], self.order)
 
     def differentiate(self):
         out = []
@@ -419,13 +413,6 @@ def zeta_series(order: int) -> Series:
     return Series(1, coeffs[: order], order)
 
 
-def zeta_over_z_log(order: int) -> Series:
-    """log(zeta(z)/z) as an even power series."""
-    z = zeta_series(order + 1)
-    unit = Series(0, z.coeffs[0:], order)  # zeta/z
-    return unit.log()
-
-
 def bernoulli_exponent_series(order: int) -> Series:
     """sum_{n>=1} B_{2n}/(2n(2n-1)) z^{2n-1} through the given order."""
     coeffs = [Fraction(0)] * (order + 1)
@@ -464,7 +451,6 @@ __all__ = [
     "exp_series",
     "log1p_series",
     "zeta_series",
-    "zeta_over_z_log",
     "bernoulli_exponent_series",
     "series_to_json",
     "series_from_json",

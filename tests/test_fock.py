@@ -4,7 +4,7 @@ import pytest
 
 from hurwitzlab.fock import (
     FockVector,
-    a_commutator_check,
+    a_commutator_suite,
     a_connected,
     a_correlator,
     a_vacuum_expectation_symbolic,
@@ -284,9 +284,8 @@ def test_unstable_pairs_rejected():
 
 def test_commutator_identity_cases():
     # [A_1, A_0] = +1, [A_0, A_1] = -1, [A_2, A_2] = 0
-    r = a_commutator_check(1, 0, z_order=4, u_order=2, cutoff=5, test_states=((), (1,), (2, 1)))
-    assert r["status"] == "pass", r
-    r = a_commutator_check(0, 1, z_order=4, u_order=2, cutoff=5, test_states=((), (1,)))
-    assert r["status"] == "pass", r
-    r = a_commutator_check(2, 2, z_order=4, u_order=2, cutoff=5, test_states=((), (1,)))
-    assert r["status"] == "pass", r
+    r = a_commutator_suite(kmax=1, z_order=4, u_order=2, cutoff=5, test_states=((), (1,), (2, 1)))
+    assert r[(1, 0)] == "pass", r
+    r = a_commutator_suite(kmax=2, z_order=4, u_order=2, cutoff=5, test_states=((), (1,)))
+    assert r[(0, 1)] == "pass", r
+    assert r[(2, 2)] == "pass", r

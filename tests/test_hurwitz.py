@@ -162,3 +162,11 @@ def test_fit_detects_non_polynomial_data():
 
     with pytest.raises(PolynomialityError):
         fit_P_polynomial(1, 1, grid_side=4, holdout=1, value_fn=fake)
+
+
+def test_fit_custom_value_fns_are_not_shared():
+    # two custom value functions with equal (g, n, grid, holdout) get two fits
+    first = fit_P_polynomial(1, 2, value_fn=lambda mu: Fraction(mu[0]))
+    second = fit_P_polynomial(1, 2, value_fn=lambda mu: Fraction(mu[0]) ** 2)
+    assert first.poly.eval((5, 1)) == 5
+    assert second.poly.eval((5, 1)) == 25

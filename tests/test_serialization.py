@@ -36,3 +36,6 @@ def test_hodge_table_export():
     keyed = {(r["g"], tuple(r["k"])): r["value"] for r in rows}
     assert keyed[(1, (1,))] == "1/24"
     assert keyed[(1, (0,))] == "-1/24"
+    # caps beyond the default potential: <tau_6 tau_0^8> in genus zero
+    rows = hodge_table(gcap=0, ncap=9, kcap=9)
+    assert {"g": 0, "k": [6, 0, 0, 0, 0, 0, 0, 0, 0], "value": "1"} in rows
