@@ -21,68 +21,43 @@ from math import factorial
 
 from .hurwitz import branch_count, fit_P_polynomial, h_connected
 from .lambert import kernel_K, odd_projection, rho_poly, sigma_z, t_of_x
-from .multipoly import MultiPoly, RatFn, divexact_linear_diff
+from .multipoly import MultiPoly, divexact_linear_diff
 from .series import Series
 
 
 # -- the exact two-point diagonal ---------------------------------------------------
 
 
-def _ratfn_to_poly1(r: RatFn) -> MultiPoly:
-    """Exact division num/den for univariate rational functions."""
-    num, den = r.num, r.den
-    if den.total_degree() == 0:
-        c = den.coeff((0,))
-        out = MultiPoly(1)
-        out.terms = {e: v / c for e, v in num.terms.items()}
-        return out
-    # long division in the single variable; remainder must vanish
-    quot = MultiPoly(1)
-    dd = den.degree(0)
-    dlead = den.coeff((dd,))
-    work = num
-    while not work.is_zero() and work.degree(0) >= dd:
-        nd = work.degree(0)
-        c = work.coeff((nd,)) / dlead
-        mono = MultiPoly(1, {(nd - dd,): c})
-        quot = quot + mono
-        work = work - mono * den
-    if not work.is_zero():
-        raise ValueError("rational function is not polynomial")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def d1d2_h02_diagonal() -> MultiPoly:
     """The mixed second derivative of the unstable two-point function on its
-    diagonal: lim of W_{0,2}(t, t+e) minus the double x-pole kernel."""
-    order = 6
+    diagonal: lim of W_{0,2}(t, t+e) minus the double x-pole kernel.
+
+    With q = t^2(t+1) and e = q*eps every eps-coefficient is a polynomial in
+    t: W_{0,2}(t, t+e) = q(t) q(t+e) / e^2 = sum_k q^(k)/k! q^(k-1) eps^(k-2),
+    and e^m w^(m)/m! = P_{m-1} eps^m/m! for dw = dt/q, where P_0 = 1 and
+    P_m = P_{m-1}' q - m P_{m-1} q'.  The limit is the eps^0 coefficient.
+    """
+    order = 3  # 1/(1 - r)^2 is known through eps^(order - 3)
     one = MultiPoly.const(1, 1)
     t = MultiPoly.var(1, 0)
-    # W_{0,2}(t, t+e) = t^2(t+1) (t+e)^2 (t+1+e) / e^2
-    te = Series(0, [t, one], None)  # t + e
-    w02 = (te**2 * (te + 1)).truncate(order + 2) * (t**2 * (t + 1))
-    w02 = w02.shift(-2)
-    # x(t+e)/x(t) = exp(sum e^m w^(m)/m!) with dw = dt/(t^2(t+1))
-    wder = RatFn(one, t**2 * (t + 1))
+    q = t**2 * (t + 1)
+    dq = q.deriv(0)
+    w02 = [one]
+    taylor = q
+    for k in range(1, 4):
+        taylor = taylor.deriv(0) * Fraction(1, k)
+        w02.append(taylor * q ** (k - 1))
+    w02 = Series(-2, w02, None)
+    # x(t+e)/x(t) = exp(sum_m P_{m-1} eps^m/m!)
     deltas = []
-    cur = wder
+    p = one
     for m in range(1, order + 1):
-        deltas.append(cur * Fraction(1, factorial(m)))
-        cur = cur.deriv(0)
-    delta = Series(1, deltas, order)
-    r = delta.exp()
+        deltas.append(p * Fraction(1, factorial(m)))
+        p = p.deriv(0) * q - m * p * dq
+    r = Series(1, deltas, order).exp()
     xker = r * ((1 - r) ** 2).reciprocal(0)
-    diff = w02 - xker
-    return _ratfn_to_poly1(_as_ratfn(diff.coeff(0)))
-
-
-def _as_ratfn(c) -> RatFn:
-    if isinstance(c, RatFn):
-        return c
-    if isinstance(c, MultiPoly):
-        return RatFn(c)
-    return RatFn.const(1, c)
+    return (w02 - xker).coeff(0)
 
 
 # -- evaluation helpers for the residue forms -----------------------------------------
@@ -128,8 +103,9 @@ def _eval_w_two_series(w: MultiPoly, inv1, inv2, tvars, nvars) -> Series:
 def _w02_one_series(s_pows, j: int, nvars: int, order: int) -> Series:
     """W_{0,2}(1/s, t_j) = (1+s) t_j^2 (t_j+1) / (s (1 - s t_j)^2)."""
     tj = MultiPoly.var(nvars, j)
-    geo = Series.zero(order)
-    for k in range(min(order, len(s_pows) - 1) + 1):
+    top = min(order, len(s_pows) - 1)
+    geo = Series.zero(top)
+    for k in range(top + 1):
         geo = geo + s_pows[k] * ((k + 1) * tj**k)
     pref = tj**2 * (tj + 1)
     s = s_pows[1]
@@ -206,7 +182,7 @@ def _w_tilde_series(g: int, n: int, mode: str, order: int):
     """Auxiliary function at (u,v) = (1/s1, 1/s2) per mode zz | zs | ss."""
     nvars = n
     sig = sigma_z(order + 2)
-    z = Series.x(order)
+    z = Series.x(None)
     s1 = z if mode in ("zz", "zs") else sig
     s2 = sig if mode in ("zs", "ss") else (z if mode == "zz" else sig)
     # every ingredient has per-variable degree below the (g, n) bound
@@ -239,6 +215,13 @@ def _w_tilde_series(g: int, n: int, mode: str, order: int):
     return acc
 
 
+def _working_order(g: int, n: int) -> int:
+    """Working order of one residue step, set by the pole order: the step
+    reads W-tilde only through z^-2, and the Series validity orders decide
+    whether this order reaches that far (a shortfall raises)."""
+    return max(2, 6 * g + 2 * n - 5)
+
+
 _W_CACHE: dict = {}
 
 
@@ -250,12 +233,11 @@ def bm_step(g: int, n: int, form: str = "zz") -> MultiPoly:
     """
     if 2 * g - 2 + n <= 0:
         raise ValueError("bm_step needs a stable (g, n)")
-    dbound = 2 * (6 * g + 2 * n - 3) + 6
-    order = dbound + 8
-    wt = _w_tilde_series(g, n, form, order)
-    K = kernel_K(order, nvars=n, t1=0)
+    wt = _w_tilde_series(g, n, form, _working_order(g, n))
+    # the residue reads W-tilde through z^-2 and K through z^(-1 - wt.low)
+    K = kernel_K(-1 - wt.low, nvars=n, t1=0)
     sign = 1 if form == "zs" else -1
-    res = (K * wt).residue()
+    res = K.residue(wt)
     if isinstance(res, (int, Fraction)):
         res = MultiPoly.const(n, res)
     return res * sign
@@ -268,32 +250,28 @@ def bm_step_projection(g: int, n: int) -> MultiPoly:
     nvars = n
     rest = tuple(range(1, n))
     maxdeg = 6 * g + 2 * n - 3
-    order = 4 * maxdeg + 10
-    # w = 1/t1; polynomials in t1 become Laurent series in w
-    w_inv = Series.laurent(-1, [Fraction(1)], order)  # t1 itself
-    t1_pows, _ = _pow_tables(w_inv, 2 * maxdeg + 4, order)
+    # the projection reads W-tilde through w^-1 (w = 1/t1); only the W_{0,2}
+    # factors are truncated, polynomials in t1 are exact Laurent polynomials
+    order = _working_order(g, n)
+    t1_pows = [Series.laurent(-a, [Fraction(1)]) for a in range(2 * maxdeg + 5)]
 
     def poly_to_w(p: MultiPoly, slots: int, tvars) -> Series:
         # p(t1, t_tvars): expand slot 0 in powers of t1 = w^{-1}
-        acc = Series.zero(order)
+        acc = Series.zero()
         mapping = [0] * slots + list(tvars)
         for a, coef in enumerate(p.as_poly_in(0)):
             extra = coef.as_poly_in(1) if slots == 2 else [coef]
             for b, c2 in enumerate(extra):
                 if c2.is_zero():
                     continue
-                acc = acc + (t1_pows[a] * t1_pows[b] if slots == 2 else t1_pows[a]) * c2.embed(
-                    nvars, mapping
-                )
+                acc = acc + t1_pows[a + b if slots == 2 else a] * c2.embed(nvars, mapping)
         return acc
 
     def w02_one_w(j: int) -> Series:
         # W_{0,2}(t1, t_j) expanded at the branch point in w = 1/t1
         tj = MultiPoly.var(nvars, j)
-        geo = Series.zero(order)
-        for k in range(order + 1):
-            geo = geo + Series.laurent(k, [Fraction(k + 1)], order) * tj**k
-        return Series.laurent(-1, [Fraction(1), Fraction(1)], order) * (tj**2 * (tj + 1)) * geo
+        geo = Series(0, [(k + 1) * tj**k for k in range(order + 1)], order)
+        return Series.laurent(-1, [Fraction(1), Fraction(1)]) * (tj**2 * (tj + 1)) * geo
 
     acc = Series.zero(order)
     if g - 1 >= 0:
@@ -313,7 +291,7 @@ def bm_step_projection(g: int, n: int) -> MultiPoly:
             return poly_to_w(w_poly(ga, len(Aa) + 1), 1, Aa)
 
         acc = acc + factor(g1, A) * factor(g2, B)
-    proj = odd_projection(acc, order=2 * maxdeg + 6)
+    proj = odd_projection(acc, order)
     out = MultiPoly.zero(nvars)
     t1 = MultiPoly.var(nvars, 0)
     for i, c in proj.items():
@@ -426,10 +404,16 @@ def x_expand_multi(poly: MultiPoly, x_order: int) -> dict:
 
 
 def bm_vs_hurwitz(g: int, n: int, x_order: int = 6) -> dict:
-    """Match the x-expansion of W_{g,n} against connected Hurwitz numbers."""
+    """Match the x-expansion of W_{g,n} against connected Hurwitz numbers.
+
+    ``mismatch`` is None when every coefficient matches, else the first
+    witness (g, n, mu, got, expected); a nonzero coefficient at a boundary
+    exponent (some mu_i = 0) is a witness with expected value 0.
+    """
     w = w_poly(g, n)
     got = x_expand_multi(w, x_order)
     checked = 0
+    mismatch = None
     for mu in _tuples(n, x_order):
         mu_sorted = tuple(sorted(mu, reverse=True))
         b = branch_count(g, mu_sorted)
@@ -438,16 +422,21 @@ def bm_vs_hurwitz(g: int, n: int, x_order: int = 6) -> dict:
             expected = expected * m
         expected = expected / factorial(b)
         if got.get(mu, Fraction(0)) != expected:
-            raise AssertionError(
-                f"x-expansion mismatch at (g,n)=({g},{n}), mu={mu}: "
-                f"{got.get(mu, Fraction(0))} vs {expected}"
-            )
+            mismatch = (g, n, mu, got.get(mu, Fraction(0)), expected)
+            break
         checked += 1
-    # coefficients with any zero exponent must vanish
-    for key, val in got.items():
-        if any(m == 0 for m in key) and val:
-            raise AssertionError(f"nonzero coefficient at boundary exponent {key}")
-    return {"g": g, "n": n, "x_order": x_order, "coefficients_checked": checked}
+    if mismatch is None:
+        for key, val in got.items():
+            if any(m == 0 for m in key) and val:
+                mismatch = (g, n, key, val, Fraction(0))
+                break
+    return {
+        "g": g,
+        "n": n,
+        "x_order": x_order,
+        "coefficients_checked": checked,
+        "mismatch": mismatch,
+    }
 
 
 def _tuples(n: int, hi: int):

@@ -200,9 +200,14 @@ def campaign_bm(g: int, n: int, x_order: int = 6) -> list:
               w_poly(g, n) == w_from_fit(g, n), True)
     )
     rep = bm_vs_hurwitz(g, n, x_order)
+    if rep["mismatch"] is None:
+        matched = rep["coefficients_checked"] > 0
+    else:
+        mg, mn, mu, got, expected = rep["mismatch"]
+        matched = f"mismatch at g={mg} n={mn} mu={mu}: got {got}, expected {expected}"
     checks.append(
         check(f"w-x-expansion-{g}-{n}", "x-expansion matches connected Hurwitz data",
-              rep["coefficients_checked"] > 0, True)
+              matched, True)
     )
     return checks
 

@@ -109,11 +109,21 @@ class Series:
             return Fraction(0)
         return self.coeffs[k - self.low]
 
-    def residue(self):
-        """Coefficient of z^{-1}."""
-        if self.order is not None and self.order < -1:
-            raise ValueError("validity order below -1; residue unknown")
-        return self.coeff(-1)
+    def residue(self, other=None):
+        """Coefficient of z^{-1}; with ``other``, that of self * other, read
+        without forming the product: sum_k self_k other_{-1-k} over the
+        exponents where both series can be nonzero.  Reading past either
+        validity order raises."""
+        if other is None:
+            if self.order is not None and self.order < -1:
+                raise ValueError("validity order below -1; residue unknown")
+            return self.coeff(-1)
+        acc = 0
+        for k in range(self.low, -other.low):
+            a = self.coeff(k)
+            if not is_zero_coeff(a):
+                acc = acc + a * other.coeff(-1 - k)
+        return acc
 
     def __repr__(self):
         terms = ", ".join(
@@ -243,16 +253,22 @@ class Series:
         )
 
     def reciprocal(self, order=None):
-        """1/f.  The leading coefficient must be invertible in its ring."""
+        """1/f.  The leading coefficient must be invertible in its ring.
+
+        The result claims validity through ``order`` but never beyond
+        ``self.order - 2*valuation``, the last exponent the known
+        coefficients of f decide.
+        """
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of zero series")
         v = self.low
-        if order is None:
-            if self.order is None:
-                if len(self.coeffs) == 1:
-                    return Series(-v, [_inv_coeff(self.coeffs[0])], None)
-                raise ValueError("reciprocal of an exact series needs an explicit order")
-            order = self.order - 2 * v
+        if self.order is not None:
+            known = self.order - 2 * v
+            order = known if order is None else min(order, known)
+        elif order is None:
+            if len(self.coeffs) == 1:
+                return Series(-v, [_inv_coeff(self.coeffs[0])], None)
+            raise ValueError("reciprocal of an exact series needs an explicit order")
         c0 = self.coeffs[0]
         inv0 = _inv_coeff(c0)
         # u = f / (c0 z^v) - 1 has positive valuation

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from hurwitzlab import bm, harness
 from hurwitzlab.bm import (
     bm_step_projection,
     bm_vs_hurwitz,
@@ -13,6 +16,9 @@ from hurwitzlab.bm import (
     w_poly,
     x_expand_multi,
 )
+from hurwitzlab.bm import _w_tilde_series, _working_order
+from hurwitzlab.harness import ACCEPTANCE_SET
+from hurwitzlab.lambert import kernel_K
 from hurwitzlab.multipoly import MultiPoly
 
 
@@ -66,13 +72,33 @@ def test_w_tilde_summand_counts():
 
 
 def test_w_from_fit_matches_bm():
-    for (g, n) in [(0, 3), (1, 1), (0, 4), (1, 2)]:
+    for (g, n) in ACCEPTANCE_SET:
         assert w_poly(g, n) == w_from_fit(g, n), (g, n)
 
 
 def test_three_forms_agree_small():
-    for (g, n) in [(0, 3), (1, 1), (0, 4), (1, 2)]:
+    for (g, n) in ACCEPTANCE_SET:
         assert three_forms_agree(g, n), (g, n)
+
+
+def test_overlap_residue_matches_product_residue():
+    # the residue sum at the working order equals the residue of the full
+    # product K * W-tilde at the generous order 2(6g+2n-3)+14
+    for (g, n, form) in [(0, 3, "zz"), (1, 1, "zs"), (1, 2, "ss")]:
+        wide = 2 * (6 * g + 2 * n - 3) + 14
+        K, wt = kernel_K(wide, nvars=n), _w_tilde_series(g, n, form, wide)
+        want = (K * wt).residue()
+        assert K.residue(wt) == want, (g, n, form)
+        wt = _w_tilde_series(g, n, form, _working_order(g, n))
+        assert kernel_K(-1 - wt.low, nvars=n).residue(wt) == want, (g, n, form)
+
+
+def test_short_working_order_raises():
+    # at order 6 W-tilde_{1,3} is not known through z^-2: the step must
+    # refuse instead of returning a wrong polynomial
+    wt = _w_tilde_series(1, 3, "zs", 6)
+    with pytest.raises(ValueError):
+        kernel_K(-1 - wt.low, nvars=3).residue(wt)
 
 
 def test_projection_route_matches_residue_route():
@@ -107,6 +133,18 @@ def test_x_expansion_01_3():
 def test_bm_vs_hurwitz_small():
     assert bm_vs_hurwitz(1, 1, 6)["coefficients_checked"] == 6
     assert bm_vs_hurwitz(0, 3, 3)["coefficients_checked"] == 27
+    assert bm_vs_hurwitz(0, 3, 3)["mismatch"] is None
+
+
+def test_x_expansion_mismatch_is_a_fail_row(monkeypatch):
+    # a wrong Hurwitz number turns the x-expansion row into a fail row that
+    # names the witness instead of raising
+    monkeypatch.setattr(bm, "h_connected", lambda g, mu: Fraction(7))
+    rows = {row["name"]: row for row in harness.campaign_bm(0, 3, 2)}
+    row = rows["w-x-expansion-0-3"]
+    assert row["status"] == "fail"
+    assert row["lhs"] == "mismatch at g=0 n=3 mu=(1, 1, 1): got 1, expected 7/24"
+    assert all(r["status"] == "pass" for name, r in rows.items() if name != row["name"])
 
 
 def test_w02_x_expansion_sanity():

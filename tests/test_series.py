@@ -101,6 +101,25 @@ def test_residue_examples():
     assert f.residue() == 2
 
 
+@given(
+    st.integers(-4, 2),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=6),
+    st.integers(-4, 2),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_residue_of_a_product_without_forming_it(la, a, lb, b):
+    fa = Series.laurent(la, [Fraction(c) for c in a])
+    fb = Series.laurent(lb, [Fraction(c) for c in b])
+    assert fa.residue(fb) == (fa * fb).residue()
+
+
+def test_residue_of_a_product_raises_past_the_order():
+    f = Series(1, [Fraction(1)], 2)  # z + O(z^3)
+    with pytest.raises(ValueError):
+        f.residue(Series.laurent(-4, [Fraction(1)]))  # needs the z^3 term of f
+
+
 def test_residue_vanishes_on_derivatives():
     f = Series.laurent(-3, [2, 5, 0, 7, 1, 3], order=4)
     assert f.differentiate().residue() == 0
@@ -135,3 +154,29 @@ def test_residue_is_linear(a, b):
     fa = Series(-2, [Fraction(c) for c in a], n)
     fb = Series(-2, [Fraction(c) for c in b], n)
     assert (fa + fb).residue() == fa.residue() + fb.residue()
+
+
+def test_reciprocal_claims_only_what_the_input_decides():
+    f = Series(2, [Fraction(1), Fraction(1)], 3)  # z^2 + z^3 + O(z^4)
+    inv = f.reciprocal(2)
+    assert inv.order == -1  # not O(z^3): z^0 depends on the unknown z^4 term
+    assert inv.coeff(-2) == 1 and inv.coeff(-1) == -1
+    with pytest.raises(ValueError):
+        inv.coeff(0)
+
+
+@given(
+    st.integers(-2, 2),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    st.integers(-4, 8),
+)
+@settings(max_examples=80, deadline=None)
+def test_reciprocal_ignores_coefficients_past_the_order(low, coeffs, tail, order):
+    if coeffs[0] == 0:
+        coeffs[0] = 1
+    known = low + len(coeffs) - 1
+    f = Series(low, [Fraction(c) for c in coeffs], known)
+    g = Series(low, [Fraction(c) for c in coeffs + tail], None)  # one completion of f
+    inv_f = f.reciprocal(order)
+    assert eq_through(inv_f, g.reciprocal(order), -low, inv_f.order)
