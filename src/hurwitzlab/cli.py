@@ -2,7 +2,9 @@
 
 Subcommands: hurwitz, polyfit, bm, elsv, fock, curve, all.  Every run writes
 a JSON (or CSV) report and exits 0 only if all checks passed, 1 on an
-identity failure, 2 when a truncation was too small to decide.
+identity failure, 2 when a truncation was too small to decide.  Bad input
+(an empty --mu or a part <= 0, --g < 0, an unstable (g, n)) is a usage
+error: exit 2 before any campaign runs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from .rationals import rational_to_str
 
 
 def _parse_mu(text: str):
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    mu = tuple(int(p) for p in text.split(",") if p.strip())
+    if not mu or min(mu) <= 0:
+        raise argparse.ArgumentTypeError(f"parts must be positive integers: {text!r}")
+    return mu
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "g", 0) < 0:
+        parser.error(f"--g must be nonnegative, got {args.g}")
+    if args.command in ("polyfit", "bm", "elsv") and (args.n < 1 or 2 * args.g - 2 + args.n <= 0):
+        parser.error(f"(g, n) = ({args.g}, {args.n}) needs n >= 1 and 2g - 2 + n > 0")
     cache_path = harness.resolve_cache_path(args.cache)
     params = {k: v for k, v in vars(args).items() if k not in ("command", "out", "format")}
     params = {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}

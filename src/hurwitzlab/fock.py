@@ -350,7 +350,7 @@ class TruncationUnstable(Exception):
 
 
 def a_connected(mu, u_order: int, cutoff: int | None = None) -> Series:
-    """Connected A-correlator via inclusion-exclusion over set partitions."""
+    """Connected A-correlator via rooted inclusion-exclusion."""
     mu = tuple(int(m) for m in mu)
     n = len(mu)
     # products of Laurent factors lose validity, so work with headroom
@@ -360,8 +360,7 @@ def a_connected(mu, u_order: int, cutoff: int | None = None) -> Series:
         subset = frozenset(i for i in range(n) if mask >> i & 1)
         sub_mu = tuple(mu[i] for i in sorted(subset))
         disc[subset] = a_correlator(sub_mu, work, cutoff)
-    one = Series.const(Fraction(1), work)
-    return connected_from_disconnected(disc, range(n), one).truncate(u_order)
+    return connected_from_disconnected(disc, range(n)).truncate(u_order)
 
 
 def a_polynomiality_check(

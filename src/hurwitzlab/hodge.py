@@ -292,23 +292,27 @@ def hodge_potential(gcap: int = 2, ncap: int = 8, kcap: int = 8) -> dict:
     return _HODGE_CACHE[key]
 
 
-def hodge_integral(g: int, ks, gcap: int = 2, ncap: int = 8, kcap: int = 8) -> Fraction:
-    """Integral of the alternating Hodge class against psi powers."""
+def hodge_integral(g: int, ks) -> Fraction:
+    """Integral of the alternating Hodge class against psi powers.
+
+    An n-point genus-g value of psi-degree at most 3g - 3 + n is read from
+    the potential at caps (g, n, 3g - 3 + n), which holds every such value.
+    """
     ks = tuple(sorted((int(k) for k in ks), reverse=True))
     n = len(ks)
     if g < 0 or 2 * g - 2 + n <= 0:
         return Fraction(0)
     if sum(ks) > 3 * g - 3 + n:
         return Fraction(0)
-    if g > gcap or n > ncap or (ks and ks[0] > kcap):
-        raise ValueError("requested value lies outside the potential caps")
-    pot = hodge_potential(gcap, ncap, kcap)
+    pot = hodge_potential(g, n, 3 * g - 3 + n)
     return pot.get((g, ks), Fraction(0)) * _mult_factor(ks)
 
 
-def wk_from_potential(g: int, ks, gcap: int = 2, ncap: int = 8, kcap: int = 8) -> Fraction:
-    base = kw_potential(gcap, ncap, kcap)
+def wk_from_potential(g: int, ks) -> Fraction:
+    """<tau_{k_1} ... tau_{k_n}>_g read from the potential at caps (g, n, 3g - 3 + n)."""
     ks = tuple(sorted((int(k) for k in ks), reverse=True))
+    n = len(ks)
+    base = kw_potential(g, n, 3 * g - 3 + n)
     return base.get((g, ks), Fraction(0)) * _mult_factor(ks)
 
 

@@ -21,16 +21,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .multipoly import MultiPoly
 from .partitions import (
     Partition,
+    _mn,
     central_character_f2,
     check_partition,
     dim_hook,
     enumerate_partitions,
-    mn_character,
     z_aut,
 )
 from .rationals import rational_from_str, rational_to_str
@@ -69,7 +69,7 @@ def _lam_data(d: int):
 @lru_cache(maxsize=None)
 def _char_vector(mu: Partition):
     lams, _, _ = _lam_data(sum(mu))
-    return tuple(mn_character(l, mu) for l in lams)
+    return tuple(_mn(l, mu) for l in lams)
 
 
 @lru_cache(maxsize=None)
@@ -95,82 +95,57 @@ def h_disconnected_char(g: int, mu) -> Fraction:
     return disconnected_by_b(mu, branch_count(g, mu))
 
 
-# -- connected numbers via set-partition inclusion-exclusion --------------------
-
-
-def set_partitions(items):
-    """All set partitions of a list, each block a tuple in input order."""
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        yield ((first,),) + part
-        for i, block in enumerate(part):
-            yield part[:i] + ((first,) + block,) + part[i + 1 :]
+# -- connected numbers via rooted inclusion-exclusion ----------------------------
 
 
 @lru_cache(maxsize=None)
 def h_connected(g: int, mu) -> Fraction:
-    """Connected Hurwitz number h(g; mu), genus g >= 0."""
+    """Connected Hurwitz number h(g; mu), genus g >= 0.
+
+    A disconnected cover splits into the component through part 0, carrying
+    the parts T and b_T of the b branch points (chosen in C(b, b_T) ways),
+    and any cover of the remaining parts; subtracting every T != mu leaves
+    the connected number.
+    """
     mu = check_partition(mu)
-    if g < 0:
+    b = 2 * g + sum(mu) + len(mu) - 2
+    if g < 0 or b < 0:
         return Fraction(0)
-    n = len(mu)
-    b = branch_count(g, mu)
-    if b < 0:
-        return Fraction(0)
-    total = h_disconnected_char(g, mu)
-    for partn in set_partitions(range(n)):
-        m = len(partn)
-        if m < 2:
-            continue
-        blocks = [tuple(sorted((mu[i] for i in blk), reverse=True)) for blk in partn]
-        # genus split: sum of (2 g_B - 2) over blocks equals 2g - 2
-        gsum = g + m - 1
-        for gs in product(range(gsum + 1), repeat=m):
-            if sum(gs) != gsum:
-                continue
-            term = Fraction(1)
-            bs = []
-            for blk, gB in zip(blocks, gs):
-                hB = h_connected(gB, blk)
-                if not hB:
-                    term = Fraction(0)
-                    break
-                bs.append(branch_count(gB, blk))
-                term *= hB
-            if term:
-                # the b branch points distribute over components multinomially
-                mult = Fraction(factorial(b), prod(factorial(x) for x in bs))
-                total -= mult * term
+    total = disconnected_by_b(mu, b)
+    others = range(1, len(mu))
+    for size in range(len(mu) - 1):
+        for picked in combinations(others, size):
+            mu_t = (mu[0],) + tuple(mu[i] for i in picked)
+            rest = tuple(mu[i] for i in others if i not in picked)
+            base = sum(mu_t) + len(mu_t) - 2  # b_T at genus 0
+            for b_t in range(base, b + 1, 2):
+                h_t = h_connected((b_t - base) // 2, mu_t)
+                if h_t:
+                    total -= comb(b, b_t) * h_t * disconnected_by_b(rest, b - b_t)
     return total
 
 
-def connected_from_disconnected(disc, index_set, grading):
-    """Generic inclusion-exclusion over set partitions on u-graded series.
+def connected_from_disconnected(disc, index_set):
+    """Connected value for ``index_set`` by rooted inclusion-exclusion.
 
     ``disc`` maps frozensets of indices to series-like values supporting
-    ``+``, ``-`` and ``*`` (Euler-characteristic additivity lives in the
-    grading of the values).  Returns the connected value for ``index_set``.
+    ``-`` and ``*`` (Euler-characteristic additivity lives in the grading of
+    the values).  The disconnected value of S is the connected value of the
+    block T through the smallest index times the disconnected value of S - T,
+    summed over T.
     """
-    index_set = tuple(index_set)
     memo = {}
 
     def conn(subset):
-        if subset in memo:
-            return memo[subset]
-        val = disc[frozenset(subset)]
-        for partn in set_partitions(list(subset)):
-            if len(partn) < 2:
-                continue
-            term = grading
-            for blk in partn:
-                term = term * conn(tuple(sorted(blk)))
-            val = val - term
-        memo[subset] = val
-        return val
+        if subset not in memo:
+            root, others = subset[0], subset[1:]
+            val = disc[frozenset(subset)]
+            for size in range(len(others)):
+                for picked in combinations(others, size):
+                    rest = frozenset(others) - set(picked)
+                    val = val - conn((root,) + picked) * disc[rest]
+            memo[subset] = val
+        return memo[subset]
 
     return conn(tuple(sorted(index_set)))
 
@@ -522,7 +497,6 @@ __all__ = [
     "h_connected",
     "h_bruteforce",
     "cut_and_join_evolve",
-    "set_partitions",
     "connected_from_disconnected",
     "HurwitzTable",
     "PPoly",

@@ -81,3 +81,24 @@ def test_cli_bm_small(capsys):
     assert main(["bm", "--g", "0", "--n", "3", "--x-order", "3"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert all(row["status"] == "pass" for row in rep["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hurwitz", "--g", "0", "--mu", "0"],
+        ["hurwitz", "--g", "1", "--mu", "2,-1"],
+        ["hurwitz", "--g", "1", "--mu", ","],
+        ["hurwitz", "--g", "-1", "--mu", "2"],
+        ["polyfit", "--g", "0", "--n", "1"],
+        ["polyfit", "--g", "2", "--n", "0"],
+        ["bm", "--g", "0", "--n", "2"],
+        ["elsv", "--g", "0", "--n", "2"],
+        ["elsv", "--g", "-1", "--n", "5"],
+    ],
+)
+def test_cli_bad_input_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
+from hurwitzlab.cli import main
 from hurwitzlab.hodge import (
+    _mult_factor,
     bergman_compat_check,
     givental_apply,
     hodge_integral,
@@ -99,9 +102,25 @@ def test_hodge_values_genus2():
     assert hodge_integral(2, (0,)) == 0
 
 
+def test_hodge_integral_reads_the_potential_at_the_query_caps():
+    # each value comes from the potential at caps (g, n, 3g-3+n), not (2, 6, 6)
+    entries = [(g, mono, c) for (g, mono), c in hodge_potential(2, 6, 6).items() if len(mono) <= 5]
+    assert len(entries) == 124
+    for g, mono, c in entries:
+        assert hodge_integral(g, mono) / _mult_factor(mono) == c, (g, mono)
+
+
+def test_cli_elsv_genus_3(capsys):
+    assert main(["elsv", "--g", "3", "--n", "1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["checks"]
+    assert all(row["status"] == "pass" for row in rep["checks"])
+
+
 def test_wk_from_potential_roundtrip():
     assert wk_from_potential(1, (1, 1)) == Fraction(1, 24)
     assert wk_from_potential(0, (1, 1, 0, 0, 0)) == 2
+    assert wk_from_potential(3, (7,)) == Fraction(1, 82944)
 
 
 def test_r_hodge_printed():

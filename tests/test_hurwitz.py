@@ -15,7 +15,6 @@ from hurwitzlab.hurwitz import (
     h_connected,
     h_disconnected_char,
     hurwitz_scaled_value,
-    set_partitions,
 )
 from hurwitzlab.partitions import enumerate_partitions
 
@@ -89,11 +88,6 @@ def test_three_route_equality_connected():
                 if branch_count(g, mu) > 8:
                     continue
                 assert h_bruteforce(g, mu) == h_connected(g, mu), (g, mu)
-
-
-def test_set_partitions_bell():
-    assert len(list(set_partitions(range(4)))) == 15
-    assert list(set_partitions([])) == [()]
 
 
 def test_table_conflicts_and_roundtrip(tmp_path):
