@@ -105,11 +105,11 @@ def h_connected(g: int, mu) -> Fraction:
     A disconnected cover splits into the component through part 0, carrying
     the parts T and b_T of the b branch points (chosen in C(b, b_T) ways),
     and any cover of the remaining parts; subtracting every T != mu leaves
-    the connected number.
+    the connected number.  The empty cover is not connected.
     """
     mu = check_partition(mu)
     b = 2 * g + sum(mu) + len(mu) - 2
-    if g < 0 or b < 0:
+    if g < 0 or b < 0 or not mu:
         return Fraction(0)
     total = disconnected_by_b(mu, b)
     others = range(1, len(mu))

@@ -9,6 +9,7 @@ from hurwitzlab.fock import (
     a_correlator,
     a_vacuum_expectation_symbolic,
     alpha_apply,
+    apply_a_integer,
     dim_path,
     e_operator_apply,
     f2_eigenvalue,
@@ -284,8 +285,30 @@ def test_unstable_pairs_rejected():
 
 def test_commutator_identity_cases():
     # [A_1, A_0] = +1, [A_0, A_1] = -1, [A_2, A_2] = 0
-    r = a_commutator_suite(kmax=1, z_order=4, u_order=2, cutoff=5, test_states=((), (1,), (2, 1)))
+    r = a_commutator_suite(kmax=1, u_order=2, cutoff=5, test_states=((), (1,), (2, 1)))
     assert r[(1, 0)] == "pass", r
-    r = a_commutator_suite(kmax=2, z_order=4, u_order=2, cutoff=5, test_states=((), (1,)))
+    r = a_commutator_suite(kmax=2, u_order=2, cutoff=5, test_states=((), (1,)))
     assert r[(0, 1)] == "pass", r
     assert r[(2, 2)] == "pass", r
+
+
+def test_commutator_suite_reads_only_through_z_kmax():
+    # the symbolic matrix is built at z-order kmax, so kmax above the old
+    # fixed z-order 4 runs instead of raising
+    r = a_commutator_suite(kmax=5, cutoff=2)
+    assert len(r) == 11 * 11
+    assert set(r.values()) <= {"pass", "inconclusive"}, r
+
+
+def test_commutator_pair_that_compared_nothing_is_inconclusive():
+    # no test state fits under a negative cutoff
+    r = a_commutator_suite(kmax=1, cutoff=-1)
+    assert len(r) == 9
+    assert set(r.values()) == {"inconclusive"}, r
+
+
+def test_integer_a_operator_flags_a_dropped_state():
+    # A(2, 2u) raises the vacuum to energy 2, above the cutoff 1
+    v = apply_a_integer(2, vacuum(1, one=Series.const(Fraction(1), 4)), 4)
+    assert v.truncated
+    assert set(v.coeffs) <= {(), (1,)}

@@ -95,6 +95,8 @@ def test_cli_bm_small(capsys):
         ["bm", "--g", "0", "--n", "2"],
         ["elsv", "--g", "0", "--n", "2"],
         ["elsv", "--g", "-1", "--n", "5"],
+        ["fock", "--kmax", "-1"],
+        ["fock", "--cutoff", "-1"],
     ],
 )
 def test_cli_bad_input_is_a_usage_error(argv, capsys):

@@ -90,6 +90,11 @@ def test_three_route_equality_connected():
                 assert h_bruteforce(g, mu) == h_connected(g, mu), (g, mu)
 
 
+def test_empty_partition_is_not_a_connected_cover():
+    for g in range(0, 3):
+        assert h_connected(g, ()) == h_bruteforce(g, ()) == 0, g
+
+
 def test_table_conflicts_and_roundtrip(tmp_path):
     t = HurwitzTable()
     t.insert(1, (2,), Fraction(1, 2), "character")

@@ -180,3 +180,25 @@ def test_reciprocal_ignores_coefficients_past_the_order(low, coeffs, tail, order
     g = Series(low, [Fraction(c) for c in coeffs + tail], None)  # one completion of f
     inv_f = f.reciprocal(order)
     assert eq_through(inv_f, g.reciprocal(order), -low, inv_f.order)
+
+
+@given(
+    st.integers(-3, 3),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    st.integers(-3, 3),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_product_ignores_coefficients_past_either_order(la, a, ta, lb, b, tb, b_exact):
+    f = Series(la, [Fraction(c) for c in a], la + len(a) - 1)
+    f_full = Series(la, [Fraction(c) for c in a + ta], None)  # one completion of f
+    if b_exact:
+        g = g_full = Series(lb, [Fraction(c) for c in b], None)
+    else:
+        g = Series(lb, [Fraction(c) for c in b], lb + len(b) - 1)
+        g_full = Series(lb, [Fraction(c) for c in b + tb], None)
+    prod = f * g
+    assert eq_through(prod, f_full * g_full, la + lb, prod.order)
