@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import factorial
 
 from .hurwitz import branch_count, fit_P_polynomial, h_connected
-from .lambert import kernel_K, odd_projection, rho_poly, sigma_z, t_of_x
+from .lambert import apply_D, kernel_K, odd_projection, rho_poly, sigma_z, t_of_x
 from .multipoly import MultiPoly, divexact_linear_diff
 from .series import Series
 
@@ -141,33 +141,6 @@ def _splits(g: int, rest: tuple):
             yield g1, A, g - g1, B
 
 
-def w_tilde_summands(g: int, n: int):
-    """Structured summands of the auxiliary function; ('gm1',) or split tuples."""
-    rest = tuple(range(1, n))
-    out = [("gm1", g - 1, n + 1)]
-    for g1, A, g2, B in _splits(g, rest):
-        out.append(("split", g1, A, g2, B))
-    return out
-
-
-def count_w_tilde_summands(g: int, n: int):
-    """(total, nonzero) summand count; factors W_{0,1} = 0 kill a summand."""
-    total = 0
-    nonzero = 0
-    for term in w_tilde_summands(g, n):
-        total += 1
-        if term[0] == "gm1":
-            if term[1] < 0:
-                continue
-            nonzero += 1
-        else:
-            _, g1, A, g2, B = term
-            if (g1, len(A) + 1) == (0, 1) or (g2, len(B) + 1) == (0, 1):
-                continue
-            nonzero += 1
-    return total, nonzero
-
-
 def _w_factor_series(g1: int, nargs_vars: tuple, s_pows, s_neg, nvars, order):
     """W_{g1, 1+|vars|}(1/s, t_vars) for a split factor."""
     k = len(nargs_vars)
@@ -244,59 +217,20 @@ def bm_step(g: int, n: int, form: str = "zz") -> MultiPoly:
 
 
 def bm_step_projection(g: int, n: int) -> MultiPoly:
-    """W_{g,n} via the odd residueless projection of W-tilde(t1, t1)/eta."""
+    """W_{g,n} via the odd residueless projection of W-tilde(t1, t1)/eta.
+
+    W-tilde is the residue step's "zz" series, already an expansion in
+    w = 1/t1; the projection reads it through w^-1, one order past the
+    residue's w^-2, hence the working order plus one."""
     if 2 * g - 2 + n <= 0:
         raise ValueError("stable (g, n) required")
-    nvars = n
-    rest = tuple(range(1, n))
-    maxdeg = 6 * g + 2 * n - 3
-    # the projection reads W-tilde through w^-1 (w = 1/t1); only the W_{0,2}
-    # factors are truncated, polynomials in t1 are exact Laurent polynomials
-    order = _working_order(g, n)
-    t1_pows = [Series.laurent(-a, [Fraction(1)]) for a in range(2 * maxdeg + 5)]
-
-    def poly_to_w(p: MultiPoly, slots: int, tvars) -> Series:
-        # p(t1, t_tvars): expand slot 0 in powers of t1 = w^{-1}
-        acc = Series.zero()
-        mapping = [0] * slots + list(tvars)
-        for a, coef in enumerate(p.as_poly_in(0)):
-            extra = coef.as_poly_in(1) if slots == 2 else [coef]
-            for b, c2 in enumerate(extra):
-                if c2.is_zero():
-                    continue
-                acc = acc + t1_pows[a + b if slots == 2 else a] * c2.embed(nvars, mapping)
-        return acc
-
-    def w02_one_w(j: int) -> Series:
-        # W_{0,2}(t1, t_j) expanded at the branch point in w = 1/t1
-        tj = MultiPoly.var(nvars, j)
-        geo = Series(0, [(k + 1) * tj**k for k in range(order + 1)], order)
-        return Series.laurent(-1, [Fraction(1), Fraction(1)]) * (tj**2 * (tj + 1)) * geo
-
-    acc = Series.zero(order)
-    if g - 1 >= 0:
-        gm, nm = g - 1, n + 1
-        if (gm, nm) == (0, 2):
-            diag = d1d2_h02_diagonal()
-            acc = acc + poly_to_w(diag.embed(1, [0]), 1, ())
-        elif (gm, nm) != (0, 1):
-            acc = acc + poly_to_w(w_poly(gm, nm), 2, rest)
-    for g1, A, g2, B in _splits(g, rest):
-        if (g1, len(A) + 1) == (0, 1) or (g2, len(B) + 1) == (0, 1):
-            continue
-
-        def factor(ga, Aa):
-            if (ga, len(Aa) + 1) == (0, 2):
-                return w02_one_w(Aa[0])
-            return poly_to_w(w_poly(ga, len(Aa) + 1), 1, Aa)
-
-        acc = acc + factor(g1, A) * factor(g2, B)
-    proj = odd_projection(acc, order)
-    out = MultiPoly.zero(nvars)
-    t1 = MultiPoly.var(nvars, 0)
+    order = _working_order(g, n) + 1
+    proj = odd_projection(_w_tilde_series(g, n, "zz", order), order)
+    out = MultiPoly.zero(n)
+    t1 = MultiPoly.var(n, 0)
     for i, c in proj.items():
         if isinstance(c, (int, Fraction)):
-            c = MultiPoly.const(nvars, c)
+            c = MultiPoly.const(n, c)
         out = out + t1**i * c
     return out
 
@@ -338,14 +272,8 @@ def w_from_fit(g: int, n: int, grid_side=None, holdout: int = 2) -> MultiPoly:
     as D_1...D_n H_{g,n} since rho_{k+1} = D rho_k."""
     out = h_poly_from_fit(g, n, grid_side, holdout)
     for i in range(n):
-        out = _apply_D_var(out, i)
+        out = apply_D(out, i)
     return out
-
-
-def _apply_D_var(p: MultiPoly, k: int) -> MultiPoly:
-    """D_k = t_k^2 (t_k + 1) d/dt_k."""
-    tk = MultiPoly.var(p.nvars, k)
-    return tk**2 * (tk + 1) * p.deriv(k)
 
 
 # -- checks ---------------------------------------------------------------------------
@@ -493,9 +421,9 @@ def cutjoin_t_check(g: int, n: int) -> dict:
                     vars_wo_k = [i for i in range(n) if i != k]
                     Hj = _h_stable(g, n - 1, nv, vars_wo_j)
                     Hk = _h_stable(g, n - 1, nv, vars_wo_k)
-                    num = tk**2 * (1 + tj) * _apply_D_var(Hj, k) - tj**2 * (
+                    num = tk**2 * (1 + tj) * apply_D(Hj, k) - tj**2 * (
                         1 + tk
-                    ) * _apply_D_var(Hk, j)
+                    ) * apply_D(Hk, j)
                     rhs = rhs + divexact_linear_diff(num, k, j)
     # join (diagonal) terms
     half = Fraction(1, 2)
@@ -507,7 +435,7 @@ def cutjoin_t_check(g: int, n: int) -> dict:
             Hbig = h_poly_from_fit(g - 1, n + 1)
             for k in range(n):
                 big = Hbig.embed(nv + 1, list(range(n)) + [nv])
-                big = _apply_D_var(_apply_D_var(big, nv), k)
+                big = apply_D(apply_D(big, nv), k)
                 merged = big.subs_var(nv, k)
                 # drop the extra slot
                 dropped = MultiPoly(nv)
@@ -530,7 +458,7 @@ def cutjoin_t_check(g: int, n: int) -> dict:
             f2 = stable_factor(g2, B)
             if f2 is None:
                 continue
-            rhs = rhs + _apply_D_var(f1, k) * _apply_D_var(f2, k) * half
+            rhs = rhs + apply_D(f1, k) * apply_D(f2, k) * half
     if lhs != rhs:
         raise AssertionError(f"cut-and-join identity fails at (g,n)=({g},{n})")
     return {"g": g, "n": n, "identity": "holds", "lhs": lhs, "rhs": rhs}
@@ -545,7 +473,6 @@ __all__ = [
     "h_poly_from_fit",
     "w_invariants",
     "three_forms_agree",
-    "count_w_tilde_summands",
     "x_expand_multi",
     "bm_vs_hurwitz",
     "cutjoin_t_check",

@@ -3,8 +3,9 @@
 Subcommands: hurwitz, polyfit, bm, elsv, fock, curve, all.  Every run writes
 a JSON (or CSV) report and exits 0 only if all checks passed, 1 on an
 identity failure, 2 when a truncation was too small to decide.  Bad input
-(an empty --mu or a part <= 0, --g < 0, an unstable (g, n), a negative
-fock --kmax or --cutoff) is a usage error: exit 2 before any campaign runs.
+(an empty --mu or a part <= 0, --g < 0, an unstable (g, n), bm --x-order < 1,
+a --grid below 3g - 2 + n, --holdout < 1, a negative fock --kmax or --cutoff)
+is a usage error: exit 2 before any campaign runs.
 """
 
 from __future__ import annotations
@@ -75,6 +76,14 @@ def main(argv=None) -> int:
         parser.error(f"--g must be nonnegative, got {args.g}")
     if args.command in ("polyfit", "bm", "elsv") and (args.n < 1 or 2 * args.g - 2 + args.n <= 0):
         parser.error(f"(g, n) = ({args.g}, {args.n}) needs n >= 1 and 2g - 2 + n > 0")
+    if args.command == "bm" and args.x_order < 1:
+        parser.error(f"--x-order must be at least 1, got {args.x_order}")
+    if args.command in ("polyfit", "elsv"):
+        least = 3 * args.g - 2 + args.n
+        if args.grid is not None and args.grid < least:
+            parser.error(f"--grid must be at least 3g - 2 + n = {least}, got {args.grid}")
+        if args.holdout < 1:
+            parser.error(f"--holdout must be at least 1, got {args.holdout}")
     if args.command == "fock" and min(args.kmax, args.cutoff) < 0:
         parser.error(f"--kmax and --cutoff must be nonnegative, got {args.kmax}, {args.cutoff}")
     cache_path = harness.resolve_cache_path(args.cache)

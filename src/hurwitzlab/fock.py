@@ -608,15 +608,6 @@ def a_commutator_suite(
     return statuses
 
 
-def a_vacuum_expectation_symbolic(z_order: int, u_order: int, cutoff: int) -> Series:
-    """<A(z, uz)> as a bivariate series (z outer, u inner)."""
-    matrix = a_symbolic_matrix(z_order, u_order, cutoff)
-    got = matrix.get(((), ()))
-    if got is None:
-        return Series.zero(z_order)
-    return got
-
-
 __all__ = [
     "FockVector",
     "vacuum",
@@ -640,6 +631,5 @@ __all__ = [
     "a_symbolic_matrix",
     "a_k_operators",
     "a_commutator_suite",
-    "a_vacuum_expectation_symbolic",
     "TruncationUnstable",
 ]

@@ -338,7 +338,7 @@ def hodge_table(gcap: int = 2, ncap: int = 5, kcap: int = 6) -> list:
 def bergman_compat_check() -> dict:
     """The defining identity of the compatible two-point kernel on the curve
     x = y - log(1+y): an exact rational-function identity, plus a series
-    specialization and a symmetry sanity check."""
+    specialization."""
     y1 = MultiPoly.var(2, 0)
     y2 = MultiPoly.var(2, 1)
     one = MultiPoly.const(2, 1)
@@ -364,15 +364,7 @@ def bergman_compat_check() -> dict:
     specialization = all(
         sa.coeff(k) == sb.coeff(k) for k in range(min(sa.low, sb.low), window + 1)
     )
-    swapped = RatFn(one + y2, y2 * (y2 - y1) ** 2).deriv(1) + RatFn(
-        one + y1, y1 * (y2 - y1) ** 2
-    ).deriv(0)
-    symmetric = swapped == lhs
-    return {
-        "identity": identity,
-        "specialization_y2_eq_2y1": specialization,
-        "symmetric": symmetric,
-    }
+    return {"identity": identity, "specialization_y2_eq_2y1": specialization}
 
 
 __all__ = [

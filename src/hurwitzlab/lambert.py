@@ -30,15 +30,15 @@ def rho_poly(k: int) -> MultiPoly:
         raise ValueError("rho_poly: k must be nonnegative")
     if not _RHO:
         _RHO.append(MultiPoly(1, {(0,): -1, (1,): -1}))
-    tfield = MultiPoly(1, {(2,): 1, (3,): 1})  # t^2 (t+1)
     while len(_RHO) <= k:
-        _RHO.append(tfield * _RHO[-1].deriv(0))
+        _RHO.append(apply_D(_RHO[-1], 0))
     return _RHO[k]
 
 
-def apply_D(p: MultiPoly) -> MultiPoly:
-    """The vector field t^2 (t+1) d/dt on univariate polynomials."""
-    return MultiPoly(1, {(2,): 1, (3,): 1}) * p.deriv(0)
+def apply_D(p: MultiPoly, k: int) -> MultiPoly:
+    """The vector field D_k = t_k^2 (t_k + 1) d/dt_k."""
+    tk = MultiPoly.var(p.nvars, k)
+    return tk**2 * (tk + 1) * p.deriv(k)
 
 
 # -- deck transformation and friends --------------------------------------------
@@ -72,14 +72,6 @@ def sigma_tilde_w(order: int) -> Series:
     The w^{-1} coefficient is the -t term of the printed expansion.
     """
     return sigma_z(order + 2).reciprocal(order)
-
-
-def sigma_series(chart: str, order: int) -> Series:
-    if chart == "z":
-        return sigma_z(order)
-    if chart == "t":
-        return sigma_tilde_w(order)
-    raise ValueError("chart must be 'z' or 't'")
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +232,6 @@ __all__ = [
     "apply_D",
     "sigma_z",
     "sigma_tilde_w",
-    "sigma_series",
     "eta_series",
     "y_of_x",
     "t_of_x",

@@ -190,17 +190,6 @@ class MultiPoly:
             acc += t
         return acc
 
-    def subs_value(self, i: int, value) -> "MultiPoly":
-        """Substitute a Fraction for variable i (variable count unchanged)."""
-        value = Fraction(value)
-        out = MultiPoly(self.nvars)
-        for e, c in self.terms.items():
-            e2 = list(e)
-            p = e2[i]
-            e2[i] = 0
-            out = out + MultiPoly(self.nvars, {tuple(e2): c * value**p})
-        return out
-
     def subs_var(self, i: int, j: int) -> "MultiPoly":
         """Rename variable i to variable j (merging exponents)."""
         out: dict[tuple[int, ...], Fraction] = {}
@@ -268,18 +257,6 @@ class MultiPoly:
         return MultiPoly(
             nvars, {tuple(row["exp"]): rational_from_str(row["coeff"]) for row in data}
         )
-
-
-def divexact_monomial(p: MultiPoly, i: int, power: int) -> MultiPoly:
-    """Divide by t_i^power; every term must be divisible."""
-    out = MultiPoly(p.nvars)
-    for e, c in p.terms.items():
-        if e[i] < power:
-            raise ValueError("polynomial not divisible by the monomial")
-        e2 = list(e)
-        e2[i] -= power
-        out.terms[tuple(e2)] = c
-    return out
 
 
 def divexact_linear_diff(p: MultiPoly, k: int, j: int) -> MultiPoly:
@@ -382,4 +359,4 @@ class RatFn:
         return f"({self.num!r})/({self.den!r})"
 
 
-__all__ = ["MultiPoly", "RatFn", "divexact_monomial", "divexact_linear_diff"]
+__all__ = ["MultiPoly", "RatFn", "divexact_linear_diff"]

@@ -55,7 +55,7 @@ class Series:
             coeffs.pop(0)
             low += 1
         if order is not None and coeffs and low + len(coeffs) - 1 > order:
-            coeffs = coeffs[: order - low + 1]
+            coeffs = coeffs[: max(order - low + 1, 0)]
         while coeffs and is_zero_coeff(coeffs[-1]):
             coeffs.pop()
         # for the zero series, low is kept as a known-zero lower bound
@@ -64,15 +64,6 @@ class Series:
         self.order = order
 
     # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def power(coeffs, order=None):
-        """Ordinary power series from a coefficient list starting at z^0."""
-        return Series(0, coeffs, order)
-
-    @staticmethod
-    def laurent(low, coeffs, order=None):
-        return Series(low, coeffs, order)
 
     @staticmethod
     def const(c, order=None):
@@ -407,7 +398,7 @@ def eq_through(a: Series, b: Series, lo: int, hi: int) -> bool:
 
 
 def exp_series(order: int) -> Series:
-    return Series.power([Fraction(1, factorial(k)) for k in range(order + 1)], order)
+    return Series(0, [Fraction(1, factorial(k)) for k in range(order + 1)], order)
 
 
 def log1p_series(order: int) -> Series:

@@ -7,7 +7,7 @@ from hurwitzlab.fock import (
     a_commutator_suite,
     a_connected,
     a_correlator,
-    a_vacuum_expectation_symbolic,
+    a_symbolic_matrix,
     alpha_apply,
     apply_a_integer,
     dim_path,
@@ -242,7 +242,7 @@ def _inner(biv, zp, q):
 
 
 def test_symbolic_vacuum_expectation_printed():
-    got = a_vacuum_expectation_symbolic(3, 1, 6)
+    got = a_symbolic_matrix(3, 1, 6)[((), ())]
     # u^{-1}: 1/z; u^0: 0; u^1: z(z-1)/24
     assert _inner(got, -1, -1) == 1
     for zp in range(0, got.order + 1):

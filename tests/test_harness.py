@@ -68,6 +68,18 @@ def test_cli_report_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_curve_rows_are_criterion_rows():
+    # the curve campaign reuses the criterion row builders; only the rho
+    # symmetrization row (lemma 2) is its own
+    def key(row):
+        return row["name"], row["status"], row["lhs"], row["rhs"]
+
+    rows = harness.campaign_curve(6)
+    criteria = {key(row) for idx in (1, 2, 9) for row in harness.ALL_CRITERIA[idx]()}
+    own = [row["name"] for row in rows if key(row) not in criteria]
+    assert len(rows) == 19 and own == ["odd-principal-parts-rho"]
+
+
 def test_cli_polyfit_and_elsv(capsys):
     assert main(["polyfit", "--g", "1", "--n", "1"]) == 0
     capsys.readouterr()
@@ -97,6 +109,11 @@ def test_cli_bm_small(capsys):
         ["elsv", "--g", "-1", "--n", "5"],
         ["fock", "--kmax", "-1"],
         ["fock", "--cutoff", "-1"],
+        ["bm", "--g", "0", "--n", "3", "--x-order", "0"],
+        ["polyfit", "--g", "1", "--n", "1", "--grid", "1"],
+        ["elsv", "--g", "1", "--n", "1", "--grid", "1"],
+        ["polyfit", "--g", "0", "--n", "3", "--holdout", "0"],
+        ["elsv", "--g", "0", "--n", "3", "--holdout", "-1"],
     ],
 )
 def test_cli_bad_input_is_a_usage_error(argv, capsys):

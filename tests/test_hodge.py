@@ -172,7 +172,6 @@ def test_bergman_compatibility():
     report = bergman_compat_check()
     assert report["identity"]
     assert report["specialization_y2_eq_2y1"]
-    assert report["symmetric"]
 
 
 def test_calibration_against_11_fit():

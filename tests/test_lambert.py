@@ -9,7 +9,6 @@ from hurwitzlab.lambert import (
     odd_projection,
     poly_to_w_laurent,
     rho_poly,
-    sigma_series,
     sigma_tilde_w,
     sigma_z,
     t_of_x,
@@ -59,8 +58,6 @@ def test_sigma_tilde_printed_expansion():
     assert st.coeff(2) == Fraction(-4, 135)
     assert st.coeff(3) == Fraction(8, 405)
     assert st.coeff(4) == Fraction(-8, 567)
-    assert sigma_series("t", 5) == st
-    assert sigma_series("z", 5) == sigma_z(5)
 
 
 def test_eta_series():
@@ -115,7 +112,7 @@ def test_x_expand_first_terms():
 def test_field_duality_D_vs_x_ddx():
     order = 7
     for k in range(0, 6):
-        lhs = x_expand(apply_D(rho_poly(k)), order)
+        lhs = x_expand(apply_D(rho_poly(k), 0), order)
         rhs = x_expand(rho_poly(k), order).differentiate() * Series.x(order)
         assert eq_through(lhs, rhs, 1, order)
 
@@ -142,12 +139,12 @@ def test_odd_projection_annihilates_odd_input():
 
 def test_odd_projection_of_leading_pole():
     # f = -2/t1: symmetrization with eta-division gives no t^2-or-higher terms
-    f = Series.laurent(-1, [Fraction(-2)], 8)
+    f = Series(-1, [Fraction(-2)], 8)
     assert odd_projection(f, 8) == {}
 
 
 def test_odd_projection_stability_two_orders():
-    f = poly_to_w_laurent(rho_poly(1), 10) * Series.laurent(3, [Fraction(1)], 10)
+    f = poly_to_w_laurent(rho_poly(1), 10) * Series(3, [Fraction(1)], 10)
     # rho_1(t1) * (1/t1^3) as w-Laurent
     a = odd_projection(f.truncate(8), 8)
     b = odd_projection(f.truncate(10), 10)
