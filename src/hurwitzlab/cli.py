@@ -4,8 +4,8 @@ Subcommands: hurwitz, polyfit, bm, elsv, fock, curve, all.  Every run writes
 a JSON (or CSV) report and exits 0 only if all checks passed, 1 on an
 identity failure, 2 when a truncation was too small to decide.  Bad input
 (an empty --mu or a part <= 0, --g < 0, an unstable (g, n), bm --x-order < 1,
-a --grid below 3g - 2 + n, --holdout < 1, a negative fock --kmax or --cutoff)
-is a usage error: exit 2 before any campaign runs.
+a --grid below 3g - 2 + n, --holdout < 1, a negative fock --kmax or --cutoff,
+a negative curve --order) is a usage error: exit 2 before any campaign runs.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ def main(argv=None) -> int:
             parser.error(f"--holdout must be at least 1, got {args.holdout}")
     if args.command == "fock" and min(args.kmax, args.cutoff) < 0:
         parser.error(f"--kmax and --cutoff must be nonnegative, got {args.kmax}, {args.cutoff}")
+    if args.command == "curve" and args.order < 0:
+        parser.error(f"--order must be nonnegative, got {args.order}")
     cache_path = harness.resolve_cache_path(args.cache)
     params = {k: v for k, v in vars(args).items() if k not in ("command", "out", "format")}
     params = {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}

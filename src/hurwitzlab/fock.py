@@ -483,7 +483,9 @@ def a_symbolic_matrix(z_order: int, u_order: int, cutoff: int):
     coeff = {}
     for k, zk in zpows.items():
         poch = _inv_pochhammer_z(k, zwork) if k >= 0 else _falling_poly_z(-k, zwork)
-        coeff[k] = pref * zk * poch
+        # an E_k(x) entry starts at x^-1 or later, so z^(z_order+1) of
+        # coeff[k] is the last power that reaches z^z_order of a row product
+        coeff[k] = (pref * zk * poch).truncate(z_order + 1)
     out = {}
     for lam in basis:
         row = _a_row(lam, coeff, lambda s: _biv_from_x(s, zwork), zwork, cutoff)
@@ -511,13 +513,16 @@ def a_k_operators(matrix, ks, u_order: int):
     return out
 
 
-def _op_apply(op, vec: dict, u_order: int) -> dict:
+def _op_apply(op, vec: dict, u_order: int, top: int) -> dict:
+    """op applied to vec, keeping only the targets of energy at most top."""
     out: dict = {}
     for lam, c in vec.items():
         row = op.get(lam)
         if not row:
             continue
         for nu, w in row.items():
+            if energy(nu) > top:
+                continue
             cur = out.get(nu)
             val = (c * w).truncate(u_order)
             out[nu] = val if cur is None else cur + val
@@ -532,10 +537,20 @@ def a_commutator_suite(
 ) -> dict:
     """Check [A_k, A_l] = (-1)^l delta_{k+l-1} for all |k|, |l| <= kmax on
     test states, coefficientwise in u, at two cutoffs, sharing the two matrix
-    builds (through z^kmax, the highest power read) across pairs.  A pair
+    builds (through z^kmax, the highest power read) across pairs.  Each
+    A_l v is applied once per test state, and A_k A_l v and A_l A_k v once
+    per unordered pair {k, l}, keeping only targets below the band the
+    comparison reads; [A_l, A_k] is the negation of [A_k, A_l].  A pair
     with no test state under the cutoff is inconclusive.
     Returns {(k, l): "pass" | "fail" | "inconclusive"}."""
     ks = list(range(-kmax, kmax + 1))
+
+    def band(k, l):
+        # dropped intermediate states leave artifacts on a top energy band
+        # whose depth grows with the operator indices; components below the
+        # band (of the outer cutoff, in both runs) must be stable across
+        # cutoffs and equal the expected multiple of the identity
+        return cutoff - max(abs(k), abs(l)) - 1
 
     def run_all(cut):
         # compose with u-headroom: products against Laurent entries lose
@@ -543,23 +558,25 @@ def a_commutator_suite(
         u_work = u_order + cut + 2
         matrix = a_symbolic_matrix(kmax, u_order, cut)
         ops = a_k_operators(matrix, ks, u_work)
+        states = [tuple(lam) for lam in test_states if energy(lam) <= cut]
+        one = Series.const(Fraction(1), u_work)
+        single = {
+            (l, lam): _op_apply(ops[l], {lam: one}, u_work, cut) for l in ks for lam in states
+        }
         out = {}
-        for k in ks:
-            for l in ks:
-                results = {}
-                for lam in test_states:
-                    if energy(lam) > cut:
-                        continue
-                    vec = {tuple(lam): Series.const(Fraction(1), u_work)}
-                    ab = _op_apply(ops[k], _op_apply(ops[l], vec, u_work), u_work)
-                    ba = _op_apply(ops[l], _op_apply(ops[k], vec, u_work), u_work)
+        for i, k in enumerate(ks):
+            for l in ks[i:]:
+                top = band(k, l)  # the comparison reads no target above it
+                out[(k, l)], out[(l, k)] = {}, {}
+                for lam in states:
+                    ab = _op_apply(ops[k], single[(l, lam)], u_work, top)
+                    ba = ab if k == l else _op_apply(ops[l], single[(k, lam)], u_work, top)
                     comm = dict(ab)
                     for nu, c in ba.items():
                         comm[nu] = comm.get(nu, Series.zero(u_work)) - c
-                    results[tuple(lam)] = {
-                        nu: c for nu, c in comm.items() if not c.is_zero()
-                    }
-                out[(k, l)] = results
+                    comm = {nu: c for nu, c in comm.items() if not c.is_zero()}
+                    out[(k, l)][lam] = comm
+                    out[(l, k)][lam] = {nu: -c for nu, c in comm.items()}
         return out
 
     first = run_all(cutoff)
@@ -567,20 +584,15 @@ def a_commutator_suite(
     statuses = {}
     for k in ks:
         for l in ks:
-            # dropped intermediate states leave artifacts on a top energy band
-            # whose depth grows with the operator indices; components below
-            # the band must be stable across cutoffs and equal the expected
-            # multiple of the identity
-            band = cutoff - max(abs(k), abs(l)) - 1
             expected = Fraction((-1) ** l) if k + l == 1 else Fraction(0)
             status = "pass" if first[(k, l)] else "inconclusive"  # compared nothing
             for lam, a in first[(k, l)].items():
-                if energy(lam) > band:
+                if energy(lam) > band(k, l):
                     status = "inconclusive"
                     continue
                 b = second[(k, l)].get(lam, {})
                 for nu in set(a) | set(b):
-                    if energy(nu) > band:
+                    if energy(nu) > band(k, l):
                         continue
                     ca = a.get(nu, Series.zero(u_order))
                     cb = b.get(nu, Series.zero(u_order))

@@ -320,27 +320,22 @@ class Series:
         return acc
 
     def exp(self):
-        """exp(f) for f with positive valuation."""
+        """exp(f) for f with positive valuation.  A nonzero f needs a finite
+        order: exp(f) is then an infinite series."""
         if not self.is_zero() and self.low < 1:
             raise ValueError("exp: series must have zero constant term")
         order = self.order
         acc = Series.const(Fraction(1), order)
         if self.is_zero():
             return acc
+        if order is None:
+            raise ValueError("exp of an exact series needs a finite order")
         term = Series.const(Fraction(1), order)
-        k = 0
-        while True:
-            k += 1
-            if order is not None and k * self.low > order:
-                break
-            if order is None and k * self.low > self.high:
-                break
-            term = (term * self) * Fraction(1, k)
-            if order is not None:
-                term = term.truncate(order)
-            if term.is_zero() and order is None:
-                break
+        k = 1
+        while k * self.low <= order:
+            term = ((term * self) * Fraction(1, k)).truncate(order)
             acc = acc + term
+            k += 1
         return acc
 
     def log(self):

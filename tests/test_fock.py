@@ -312,3 +312,32 @@ def test_integer_a_operator_flags_a_dropped_state():
     v = apply_a_integer(2, vacuum(1, one=Series.const(Fraction(1), 4)), 4)
     assert v.truncated
     assert set(v.coeffs) <= {(), (1,)}
+
+
+def test_symbolic_matrix_is_a_truncation_of_a_deeper_one():
+    # each per-k coefficient is kept only through z^(z_order+1); a deeper
+    # build truncated back must give every entry, validity orders included
+    low = a_symbolic_matrix(2, 2, 6)
+    high = a_symbolic_matrix(4, 2, 6)
+    assert set(low) == set(high) and len(low) == 300
+    for key, biv in low.items():
+        assert biv == high[key].truncate(2), key
+
+
+def test_commutator_suite_fails_a_doubled_operator(monkeypatch):
+    # [2A_1, A_0] = 2 and [A_0, 2A_1] = -2: the negated pair and the band
+    # cut must not hide either failure
+    from hurwitzlab import fock
+
+    real = fock.a_k_operators
+
+    def doubled(matrix, ks, u_order):
+        ops = real(matrix, ks, u_order)
+        ops[1] = {lam: {nu: c * 2 for nu, c in row.items()} for lam, row in ops[1].items()}
+        return ops
+
+    monkeypatch.setattr(fock, "a_k_operators", doubled)
+    r = a_commutator_suite(1, 2, 6)
+    assert len(r) == 9
+    assert {p for p, s in r.items() if s != "pass"} == {(1, 0), (0, 1)}, r
+    assert r[(1, 0)] == r[(0, 1)] == "fail", r

@@ -114,6 +114,8 @@ def test_cli_bm_small(capsys):
         ["elsv", "--g", "1", "--n", "1", "--grid", "1"],
         ["polyfit", "--g", "0", "--n", "3", "--holdout", "0"],
         ["elsv", "--g", "0", "--n", "3", "--holdout", "-1"],
+        ["curve", "--order", "-2"],
+        ["curve", "--order", "-3"],
     ],
 )
 def test_cli_bad_input_is_a_usage_error(argv, capsys):

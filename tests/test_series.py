@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hurwitzlab.series import (
@@ -99,6 +99,13 @@ def test_exp_log_printed_r_series():
     assert r.coeff(1) == Fraction(1, 12)
     assert r.coeff(2) == Fraction(1, 288)
     assert r.coeff(3) == Fraction(-139, 51840)
+
+
+def test_exp_of_an_exact_series_needs_an_order():
+    # exp(z) is not the polynomial 1 + z
+    with pytest.raises(ValueError):
+        Series.x().exp()
+    assert Series.zero().exp() == Series.const(Fraction(1))
 
 
 def test_residue_examples():
@@ -209,3 +216,71 @@ def test_product_ignores_coefficients_past_either_order(la, a, ta, lb, b, tb, b_
         g_full = Series(lb, [Fraction(c) for c in b + tb], None)
     prod = f * g
     assert eq_through(prod, f_full * g_full, la + lb, prod.order)
+
+
+def _known_and_completed(low, a, tail):
+    """f known through its last stored power, and one completion of f known
+    further (a finite order, since exp and log need one)."""
+    f = Series(low, [Fraction(c) for c in a], low + len(a) - 1)
+    full = Series(low, [Fraction(c) for c in a + tail], low + len(a + tail) - 1)
+    return f, full
+
+
+def _agree_where_claimed(res, full):
+    """res never claims a coefficient that completing its input changes."""
+    if res.order is None:
+        assert res == full
+    else:
+        assert eq_through(res, full, min(res.low, full.low), res.order)
+
+
+_coeffs = st.lists(st.integers(-5, 5), min_size=1, max_size=5)
+_tail = st.lists(st.integers(-5, 5), min_size=1, max_size=4)
+
+
+@given(st.integers(-2, 2), _coeffs, _tail, st.integers(-2, 3))
+@settings(max_examples=80, deadline=None)
+def test_pow_ignores_coefficients_past_the_order(low, a, ta, n):
+    a[0] = a[0] or 1
+    f, f_full = _known_and_completed(low, a, ta)
+    _agree_where_claimed(f**n, f_full**n)
+
+
+@given(
+    st.integers(-2, 3), _coeffs, _tail,
+    st.integers(1, 2), _coeffs, _tail, st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_compose_ignores_coefficients_past_either_order(la, a, ta, lb, b, tb, g_exact):
+    b[0] = b[0] or 1
+    # a pole of f needs 1/g, and the reciprocal of an exact g of two or more
+    # terms is an infinite series that compose does not expand: it raises
+    assume(not (g_exact and la < 0 and len(b) > 1))
+    f, f_full = _known_and_completed(la, a, ta)
+    if g_exact:
+        g = g_full = Series(lb, [Fraction(c) for c in b], None)
+    else:
+        g, g_full = _known_and_completed(lb, b, tb)
+    _agree_where_claimed(f.compose(g), f_full.compose(g_full))
+
+
+@given(st.integers(1, 2), _coeffs, _tail)
+@settings(max_examples=80, deadline=None)
+def test_exp_ignores_coefficients_past_the_order(low, a, ta):
+    f, f_full = _known_and_completed(low, a, ta)
+    _agree_where_claimed(f.exp(), f_full.exp())
+
+
+@given(_coeffs, _tail)
+@settings(max_examples=80, deadline=None)
+def test_log_ignores_coefficients_past_the_order(a, ta):
+    f, f_full = _known_and_completed(0, [1] + a, ta)
+    _agree_where_claimed(f.log(), f_full.log())
+
+
+@given(_coeffs, _tail)
+@settings(max_examples=80, deadline=None)
+def test_reverse_ignores_coefficients_past_the_order(a, ta):
+    a[0] = a[0] or 1
+    f, f_full = _known_and_completed(1, a, ta)
+    _agree_where_claimed(f.reverse(), f_full.reverse())
