@@ -36,7 +36,7 @@ for k in range(0, 3):
     p = rho_poly(k)
     xs = x_expand(p, 4)
     print(f"  rho_{k} = {p!r}")
-    print("     x-expansion:", [str(xs.coeff(m)) for m in range(1, 5)])
+    print("     x-expansion:", [str(xs.get((m,), 0)) for m in range(1, 5)])
 
 print()
 print("symmetrized rho_k have no pole at the branch point:")

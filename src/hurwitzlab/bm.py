@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import factorial
 
 from .hurwitz import branch_count, fit_P_polynomial, h_connected
-from .lambert import apply_D, kernel_K, odd_projection, rho_poly, sigma_z, t_of_x
+from .lambert import apply_D, kernel_K, odd_projection, rho_poly, sigma_z, x_expand
 from .multipoly import MultiPoly, divexact_linear_diff
 from .series import Series
 
@@ -208,7 +208,7 @@ def bm_step(g: int, n: int, form: str = "zz") -> MultiPoly:
         raise ValueError("bm_step needs a stable (g, n)")
     wt = _w_tilde_series(g, n, form, _working_order(g, n))
     # the residue reads W-tilde through z^-2 and K through z^(-1 - wt.low)
-    K = kernel_K(-1 - wt.low, nvars=n, t1=0)
+    K = kernel_K(-1 - wt.low, nvars=n)
     sign = 1 if form == "zs" else -1
     res = K.residue(wt)
     if isinstance(res, (int, Fraction)):
@@ -255,9 +255,9 @@ def _w_form(g: int, n: int) -> str:
     return "zs" if (g, n) == (1, 1) else "zz"
 
 
-def h_poly_from_fit(g: int, n: int, grid_side=None, holdout: int = 2) -> MultiPoly:
+def h_poly_from_fit(g: int, n: int) -> MultiPoly:
     """The stable generating polynomial H_{g,n} = sum_k c_k prod rho_{k_i}."""
-    fit = fit_P_polynomial(g, n, grid_side, holdout)
+    fit = fit_P_polynomial(g, n)
     out = MultiPoly.zero(n)
     for expts, c in fit.poly.terms.items():
         term = MultiPoly.const(n, c)
@@ -267,10 +267,10 @@ def h_poly_from_fit(g: int, n: int, grid_side=None, holdout: int = 2) -> MultiPo
     return out
 
 
-def w_from_fit(g: int, n: int, grid_side=None, holdout: int = 2) -> MultiPoly:
+def w_from_fit(g: int, n: int) -> MultiPoly:
     """Reconstruction sum_k c_k prod rho_{k_i+1}(t_i) from the fitted P,
     as D_1...D_n H_{g,n} since rho_{k+1} = D rho_k."""
-    out = h_poly_from_fit(g, n, grid_side, holdout)
+    out = h_poly_from_fit(g, n)
     for i in range(n):
         out = apply_D(out, i)
     return out
@@ -300,37 +300,6 @@ def three_forms_agree(g: int, n: int) -> bool:
     return all(bm_step(g, n, form) == w for form in ("zz", "zs", "ss") if form != _w_form(g, n))
 
 
-def x_expand_multi(poly: MultiPoly, x_order: int) -> dict:
-    """All coefficients of prod x_i^{mu_i} (mu_i <= x_order) of poly(t(x_i))."""
-    n = poly.nvars
-    tx = t_of_x(x_order)
-    maxdeg = max((poly.degree(i) for i in range(n)), default=0)
-    tpows = [Series.const(Fraction(1), x_order)]
-    for _ in range(maxdeg):
-        tpows.append((tpows[-1] * tx).truncate(x_order))
-
-    def rec(p: MultiPoly, i: int) -> dict:
-        if i == n:
-            return {(): p.coeff((0,) * n)}
-        out: dict = {}
-        for power, coef in enumerate(p.as_poly_in(i)):
-            if coef.is_zero():
-                continue
-            tail = rec(coef, i + 1)
-            ser = tpows[power]
-            for suffix, cval in tail.items():
-                if not cval:
-                    continue
-                for mi in range(0, x_order + 1):
-                    c = ser.coeff(mi) * cval
-                    if c:
-                        key = (mi,) + suffix
-                        out[key] = out.get(key, Fraction(0)) + c
-        return {k: v for k, v in out.items() if v}
-
-    return rec(poly, 0)
-
-
 def bm_vs_hurwitz(g: int, n: int, x_order: int = 6) -> dict:
     """Match the x-expansion of W_{g,n} against connected Hurwitz numbers.
 
@@ -339,7 +308,7 @@ def bm_vs_hurwitz(g: int, n: int, x_order: int = 6) -> dict:
     exponent (some mu_i = 0) is a witness with expected value 0.
     """
     w = w_poly(g, n)
-    got = x_expand_multi(w, x_order)
+    got = x_expand(w, x_order)
     checked = 0
     mismatch = None
     for mu in _tuples(n, x_order):
@@ -473,7 +442,6 @@ __all__ = [
     "h_poly_from_fit",
     "w_invariants",
     "three_forms_agree",
-    "x_expand_multi",
     "bm_vs_hurwitz",
     "cutjoin_t_check",
 ]

@@ -6,6 +6,9 @@ identity failure, 2 when a truncation was too small to decide.  Bad input
 (an empty --mu or a part <= 0, --g < 0, an unstable (g, n), bm --x-order < 1,
 a --grid below 3g - 2 + n, --holdout < 1, a negative fock --kmax or --cutoff,
 a negative curve --order) is a usage error: exit 2 before any campaign runs.
+``hurwitz`` compares the character value with the cut-and-join table, which
+ends at |mu| = 10 and b = 16; past it the row is inconclusive (exit 2).  Two
+routes that disagree on a value exit 1.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ def main(argv=None) -> int:
         if save_cache_needed and cache_path:
             harness.save_cache(table, cache_path)
     except ConflictError as exc:
-        print(f"cache conflict: {exc}", file=sys.stderr)
+        print(f"conflict: {exc}", file=sys.stderr)
         return 1
     report = harness.report_emit(args.command, params, checks)
     text = harness.format_report(report, args.format)

@@ -213,16 +213,11 @@ def e_operator_apply(n: int, j: int, v: FockVector) -> FockVector:
 # -- the Hurwitz vacuum expectation ------------------------------------------------
 
 
-def vev_hurwitz(g: int, mu, cutoff: int | None = None) -> Fraction:
+def vev_hurwitz(g: int, mu) -> Fraction:
     """<e^{alpha_1} F2^b prod alpha_{-mu_i}/mu_i> from the wedge-space side."""
     mu = check_partition(mu)
-    d = sum(mu)
-    if cutoff is None:
-        cutoff = d
-    if cutoff < d:
-        raise ValueError("cutoff below the total energy of the insertions")
     b = branch_count(g, mu)
-    v = vacuum(cutoff)
+    v = vacuum(sum(mu))
     for m in mu:
         v = alpha_apply(-m, v).scale(Fraction(1, m))
     for _ in range(b):
@@ -325,16 +320,19 @@ def a_vev(mu, u_order: int, cutoff: int) -> Series:
     return got.truncate(u_order)
 
 
-def a_correlator(mu, u_order: int, cutoff: int | None = None):
+def a_correlator(mu, u_order: int):
     """Stabilized disconnected A-correlator as a truncated u-Laurent series.
 
     Computes at the policy cutoff |mu| + max(u_order, 0) + 4 and at
     cutoff+2 and requires both runs to agree on every reported coefficient;
-    raises TruncationUnstable otherwise.
+    raises TruncationUnstable otherwise.  Memoized per (mu, u_order).
     """
-    mu = tuple(int(m) for m in mu)
-    if cutoff is None:
-        cutoff = sum(mu) + max(u_order, 0) + 4
+    return _a_correlator(tuple(int(m) for m in mu), u_order)
+
+
+@lru_cache(maxsize=None)
+def _a_correlator(mu: tuple, u_order: int) -> Series:
+    cutoff = sum(mu) + max(u_order, 0) + 4
     first = a_vev(mu, u_order, cutoff)
     second = a_vev(mu, u_order, cutoff + 2)
     if first != second:
@@ -348,7 +346,7 @@ class TruncationUnstable(Exception):
     """Two-cutoff protocol detected an unconverged truncation."""
 
 
-def a_connected(mu, u_order: int, cutoff: int | None = None) -> Series:
+def a_connected(mu, u_order: int) -> Series:
     """Connected A-correlator via rooted inclusion-exclusion."""
     mu = tuple(int(m) for m in mu)
     n = len(mu)
@@ -358,13 +356,11 @@ def a_connected(mu, u_order: int, cutoff: int | None = None) -> Series:
     for mask in range(1, 1 << n):
         subset = frozenset(i for i in range(n) if mask >> i & 1)
         sub_mu = tuple(mu[i] for i in sorted(subset))
-        disc[subset] = a_correlator(sub_mu, work, cutoff)
+        disc[subset] = a_correlator(sub_mu, work)
     return connected_from_disconnected(disc, range(n)).truncate(u_order)
 
 
-def a_polynomiality_check(
-    n: int, k: int, grid_side: int, holdout_points, cutoff: int | None = None
-) -> dict:
+def a_polynomiality_check(n: int, k: int, grid_side: int, holdout_points) -> dict:
     """Interpolate [u^k] of the connected correlator over an integer grid.
 
     The coefficient divided by the product of the arguments extends to a
@@ -376,7 +372,7 @@ def a_polynomiality_check(
     from .hurwitz import grid_interpolate
 
     def value(pt):
-        conn = a_connected(tuple(pt), max(k, 0) + 1, cutoff)
+        conn = a_connected(tuple(pt), max(k, 0) + 1)
         val = conn.coeff(k)
         for z in pt:
             val /= z
@@ -393,13 +389,13 @@ def a_polynomiality_check(
     }
 
 
-def h_from_a_correlator(g: int, mu, cutoff: int | None = None) -> Fraction:
+def h_from_a_correlator(g: int, mu) -> Fraction:
     """Connected Hurwitz number from the A-correlator route."""
     mu = check_partition(mu)
     n = len(mu)
     b = branch_count(g, mu)
     u_target = 2 * g - 2 + n
-    conn = a_connected(mu, max(u_target, 0) + 1, cutoff)
+    conn = a_connected(mu, max(u_target, 0) + 1)
     coeff = conn.coeff(u_target)
     scale = Fraction(factorial(b))
     for m in mu:

@@ -17,12 +17,14 @@ from fractions import Fraction
 from . import __version__
 from .hurwitz import (
     HurwitzTable,
+    ResourceGuardError,
     branch_count,
     cut_and_join_evolve,
     disconnected_by_b,
     fit_P_polynomial,
     h_bruteforce,
     h_connected,
+    h_connected_cutjoin,
 )
 from .partitions import enumerate_partitions
 from .rationals import rational_to_str
@@ -133,7 +135,14 @@ def campaign_hurwitz(g: int, mu, table: HurwitzTable | None = None) -> list:
     checks = []
     val = h_connected(g, mu)
     table.insert(g, mu, val, "character")
-    checks.append(check(f"h-connected-g{g}-mu{list(mu)}", "character route", val, val))
+    name = f"h-connected-g{g}-mu{list(mu)}"
+    try:
+        other = h_connected_cutjoin(g, mu)
+        table.insert(g, mu, other, "cutjoin")
+        checks.append(check(name, "character route vs cut-and-join table", val, other))
+    except ResourceGuardError:
+        checks.append(check(name, "cut-and-join table ends at d = 10, b = 16", val,
+                            "not computed", status="inconclusive"))
     d, b = sum(mu), branch_count(g, mu)
     if d <= 6 and b <= 8:
         brute = h_bruteforce(g, mu)

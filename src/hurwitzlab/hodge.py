@@ -19,9 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
+from .lambert import root_coordinate
 from .multipoly import MultiPoly, RatFn
 from .rationals import bernoulli, double_factorial
-from .series import Series, bernoulli_exponent_series, log1p_series
+from .series import Series, bernoulli_exponent_series
 
 
 # -- psi-class correlators ------------------------------------------------------------
@@ -246,21 +247,13 @@ def r_hodge(order: int) -> Series:
 
 
 def r_from_curve(order: int) -> Series:
-    """R-matrix read off the curve: expand the odd part of dy in the
-    root coordinate s = sqrt(2(y - log(1+y)))."""
-    work = 2 * order + 6
-    y = Series.x(work)
-    phi2 = (y - log1p_series(work)) * 2  # 2(y - log(1+y)) = y^2 (1 + ...)
-    unit = Series(0, phi2.coeffs, work - 2)  # stored list starts at y^2
-    s_of_y = y * unit.sqrt_unit()
-    y_of_s = s_of_y.reverse()
-    odd = [
-        Fraction(0) if k % 2 == 0 else y_of_s.coeff(k) for k in range(work + 1)
-    ]
-    dy_odd = Series(0, odd, work).differentiate()
+    """R-matrix read off the curve: its z^k coefficient is (2k-1)!! times the
+    zeta^(2k) coefficient (2k+1) [zeta^(2k+1)] z of the odd part of dz, in the
+    root coordinate zeta = sqrt(2(z - log(1+z))), read through zeta^(2 order + 1)."""
+    z_of_zeta = root_coordinate(2 * order + 1).reverse()
     coeffs = [Fraction(1)]
     for k in range(1, order + 1):
-        coeffs.append(dy_odd.coeff(2 * k) * double_factorial(2 * k - 1))
+        coeffs.append(z_of_zeta.coeff(2 * k + 1) * double_factorial(2 * k + 1))
     return Series(0, coeffs, order)
 
 

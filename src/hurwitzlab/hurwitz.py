@@ -98,20 +98,20 @@ def h_disconnected_char(g: int, mu) -> Fraction:
 # -- connected numbers via rooted inclusion-exclusion ----------------------------
 
 
-@lru_cache(maxsize=None)
-def h_connected(g: int, mu) -> Fraction:
-    """Connected Hurwitz number h(g; mu), genus g >= 0.
+def _rooted_connected(g: int, mu, disconnected, connected) -> Fraction:
+    """h(g; mu) from ``disconnected(mu, b)`` by rooted inclusion-exclusion.
 
     A disconnected cover splits into the component through part 0, carrying
     the parts T and b_T of the b branch points (chosen in C(b, b_T) ways),
-    and any cover of the remaining parts; subtracting every T != mu leaves
-    the connected number.  The empty cover is not connected.
+    and any cover of the remaining parts; subtracting every T != mu, with
+    ``connected`` for the smaller connected numbers, leaves the connected
+    number.  The empty cover is not connected.
     """
     mu = check_partition(mu)
     b = 2 * g + sum(mu) + len(mu) - 2
     if g < 0 or b < 0 or not mu:
         return Fraction(0)
-    total = disconnected_by_b(mu, b)
+    total = disconnected(mu, b)
     others = range(1, len(mu))
     for size in range(len(mu) - 1):
         for picked in combinations(others, size):
@@ -119,10 +119,16 @@ def h_connected(g: int, mu) -> Fraction:
             rest = tuple(mu[i] for i in others if i not in picked)
             base = sum(mu_t) + len(mu_t) - 2  # b_T at genus 0
             for b_t in range(base, b + 1, 2):
-                h_t = h_connected((b_t - base) // 2, mu_t)
+                h_t = connected((b_t - base) // 2, mu_t)
                 if h_t:
-                    total -= comb(b, b_t) * h_t * disconnected_by_b(rest, b - b_t)
+                    total -= comb(b, b_t) * h_t * disconnected(rest, b - b_t)
     return total
+
+
+@lru_cache(maxsize=None)
+def h_connected(g: int, mu) -> Fraction:
+    """Connected Hurwitz number h(g; mu), genus g >= 0, from the character sums."""
+    return _rooted_connected(g, mu, disconnected_by_b, h_connected)
 
 
 def connected_from_disconnected(disc, index_set):
@@ -214,6 +220,24 @@ def cut_and_join_evolve(d_max: int = 10, b_max: int = 16):
             for mu in types:
                 table[(mu, b)] = Fraction(counts[mu], prod(mu))
     return table
+
+
+@lru_cache(maxsize=None)
+def _cutjoin_table():
+    return cut_and_join_evolve()
+
+
+def _cutjoin_disconnected(mu: Partition, b: int) -> Fraction:
+    if (mu, b) not in _cutjoin_table():
+        raise ResourceGuardError(f"cut-and-join table guard: |mu|={sum(mu)}, b={b}")
+    return _cutjoin_table()[(mu, b)]
+
+
+@lru_cache(maxsize=None)
+def h_connected_cutjoin(g: int, mu) -> Fraction:
+    """h(g; mu) from the cut-and-join table, built once per process at its
+    guard d <= 10, b <= 16; beyond the table a ResourceGuardError."""
+    return _rooted_connected(g, mu, _cutjoin_disconnected, h_connected_cutjoin)
 
 
 # -- monodromy counting with orbit tracking ---------------------------------------
@@ -497,6 +521,7 @@ __all__ = [
     "h_connected",
     "h_bruteforce",
     "cut_and_join_evolve",
+    "h_connected_cutjoin",
     "connected_from_disconnected",
     "HurwitzTable",
     "PPoly",

@@ -6,8 +6,9 @@ the origin O at t = -1.  Everything here is expanded either in z (equal to
 mean series in 1/t_1 at P.
 
 The deck transformation sigma exchanging the two x-sheets near P solves
-(1+z) e^{-z} = (1+sigma) e^{-sigma} with sigma(z) = -z + ...; it is computed
-by Newton iteration seeded at -z, which excludes the trivial branch.
+(1+z) e^{-z} = (1+sigma) e^{-sigma} with sigma(z) = -z + ...  Since
+z - log(1+z) = -1 - log x, the root coordinate zeta = sqrt(2(z - log(1+z)))
+only changes sign between the sheets, so sigma = zeta^{-1}(-zeta(z)).
 """
 
 from __future__ import annotations
@@ -45,24 +46,20 @@ def apply_D(p: MultiPoly, k: int) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
+def root_coordinate(order: int) -> Series:
+    """zeta(z) = sqrt(2(z - log(1+z))) = z - z^2/3 + ... through z^order."""
+    phi2 = (Series.x(order + 1) - log1p_series(order + 1)) * 2  # z^2 (1 + ...)
+    unit = Series(0, phi2.coeffs, order - 1)  # the stored list starts at z^2
+    return Series.x() * unit.sqrt_unit()
+
+
+@lru_cache(maxsize=None)
 def sigma_z(order: int) -> Series:
     """sigma(z) = -z + (2/3) z^2 - ... solving (1+z)e^{-z} = (1+s)e^{-s}."""
     if order < 2:
         raise ValueError("order must be at least 2")
-    # Newton loses one valid order per division by sigma but doubles the
-    # correct valuation, so a logarithmic margin suffices.
-    work = order + order.bit_length() + 4
-    lg = log1p_series(work)
-    target = lg - Series.x(work)  # log(1+z) - z
-    sig = Series(1, [Fraction(-1)], work)  # seed -z
-    while True:
-        fval = lg.compose(sig) - sig - target
-        v = fval.valuation()
-        if v is None or v > order + 1:
-            break
-        # F'(s) = -s/(1+s); Newton step: sig += F(sig) (1+sig)/sig
-        sig = sig + fval * (1 + sig) * sig.reciprocal()
-    return sig.truncate(order)
+    zeta = root_coordinate(order)
+    return zeta.reverse().compose(-zeta)
 
 
 @lru_cache(maxsize=None)
@@ -98,22 +95,34 @@ def t_of_x(order: int) -> Series:
     return (y_of_x(order) - 1).reciprocal(order)
 
 
-def poly_at_series(p: MultiPoly, s: Series) -> Series:
-    """Evaluate a univariate polynomial at a series (Horner)."""
-    if p.nvars != 1:
-        raise ValueError("poly_at_series expects a univariate polynomial")
-    deg = p.degree(0)
-    if deg < 0:
-        return Series.zero(s.order)
-    acc = Series.const(p.coeff((deg,)), s.order)
-    for k in range(deg - 1, -1, -1):
-        acc = acc * s + Series.const(p.coeff((k,)), s.order)
-    return acc
+def x_expand(poly: MultiPoly, x_order: int) -> dict:
+    """poly(t(x_1), ..., t(x_n)) in the x-chart via t = 1/(y(x)-1), as the
+    nonzero coefficients {(m_1, ..., m_n): c} of prod x_i^{m_i}, m_i <= x_order."""
+    n = poly.nvars
+    tx = t_of_x(x_order)
+    maxdeg = max((poly.degree(i) for i in range(n)), default=0)
+    tpows = [Series.const(Fraction(1), x_order)]
+    for _ in range(maxdeg):
+        tpows.append((tpows[-1] * tx).truncate(x_order))
 
+    def rec(p: MultiPoly, i: int) -> dict:
+        if i == n:
+            return {(): p.coeff((0,) * n)}
+        out: dict = {}
+        for power, coef in enumerate(p.as_poly_in(i)):
+            if coef.is_zero():
+                continue
+            tail = rec(coef, i + 1)
+            ser = tpows[power]
+            for suffix, cval in tail.items():
+                for mi in range(0, x_order + 1):
+                    c = ser.coeff(mi) * cval
+                    if c:
+                        key = (mi,) + suffix
+                        out[key] = out.get(key, Fraction(0)) + c
+        return {k: v for k, v in out.items() if v}
 
-def x_expand(p: MultiPoly, x_order: int) -> Series:
-    """Expansion of a t-polynomial in the x-chart via t = 1/(y(x)-1)."""
-    return poly_at_series(p, t_of_x(x_order)).truncate(x_order)
+    return rec(poly, 0)
 
 
 def poly_to_w_laurent(p: MultiPoly, order: int) -> Series:
@@ -128,17 +137,13 @@ def poly_to_w_laurent(p: MultiPoly, order: int) -> Series:
 # -- odd residueless projection ----------------------------------------------------
 
 
-def odd_projection(f: Series, order: int | None = None) -> dict[int, object]:
+def odd_projection(f: Series, order: int) -> dict[int, object]:
     """Coefficients {i: a_i, i >= 2} of the odd residueless principal part.
 
     ``f`` is a Laurent series in w = 1/t1 (finite principal part) over any
     coefficient ring.  Writes (f + f o sigma-tilde)/(2 eta) = sum a_i t1^i and
     keeps the polynomial-in-t1 part divisible by t1^2.
     """
-    if order is None:
-        if f.order is None:
-            raise ValueError("odd_projection needs a finite working order")
-        order = f.order
     npole = max(0, -f.low if not f.is_zero() else 0)
     work = order + npole + 4
     sig = sigma_z(work)
@@ -173,32 +178,37 @@ def lemma2_check(k_max: int, order: int) -> dict:
 # -- recursion kernel ---------------------------------------------------------------
 
 
-def kernel_K(order: int, nvars: int = 1, t1: int = 0) -> Series:
+def _geometric_kernel(s: Series, t: MultiPoly, order: int) -> Series:
+    """1/(1 - s t) = sum_k s^k t^k through z^order, collected by z-power
+    into polynomial coefficients in t."""
+    coeffs = [MultiPoly.const(t.nvars, 1)] + [MultiPoly.zero(t.nvars)] * order
+    spow = Series.const(Fraction(1), order)
+    for k in range(1, order + 1):
+        spow = (spow * s).truncate(order)
+        if spow.is_zero():
+            break
+        tk = t**k
+        for j in range(max(spow.low, 0), spow.high + 1):
+            coeffs[j] = coeffs[j] + spow.coeff(j) * tk
+    return Series(0, coeffs, order)
+
+
+def kernel_K(order: int, nvars: int = 1) -> Series:
     """K(z, t1)/dz as a z-series with polynomial coefficients in t1.
 
     K(z,t1) = t1^2 (1+t1) / (2 (1 - z t1)(1 - sigma(z) t1)) * z dz/(z+1).
     """
     sig = sigma_z(order + 2)
-    t1v = MultiPoly.var(nvars, t1)
+    t1v = MultiPoly.var(nvars, 0)
     pref = t1v**2 * (1 + t1v) * Fraction(1, 2)
-    geo_z = Series(0, [t1v**k for k in range(order + 1)], order)
-    # sum_k sigma(z)^k t1^k, collected by z-power
-    geo_s_coeffs = [MultiPoly.const(nvars, 1)] + [MultiPoly.zero(nvars)] * order
-    spow = Series.const(Fraction(1), order)
-    for k in range(1, order + 1):
-        spow = (spow * sig).truncate(order)
-        if spow.is_zero():
-            break
-        t1k = t1v**k
-        for j in range(max(spow.low, 0), spow.high + 1):
-            geo_s_coeffs[j] = geo_s_coeffs[j] + spow.coeff(j) * t1k
-    geo_s = Series(0, geo_s_coeffs, order)
     z = Series.x(order)
+    geo_z = _geometric_kernel(z, t1v, order)
+    geo_s = _geometric_kernel(sig, t1v, order)
     inv1pz = (1 + z).reciprocal(order)
     return (z * inv1pz * geo_z * geo_s).truncate(order) * pref
 
 
-def kernel_alt_form(order: int, nvars: int = 1, t1: int = 0) -> Series:
+def kernel_alt_form(order: int, nvars: int = 1) -> Series:
     """Kernel assembled from the two one-sheet residue extractions.
 
     Changing variables z -> sigma(z) in the second extraction flips the
@@ -208,18 +218,9 @@ def kernel_alt_form(order: int, nvars: int = 1, t1: int = 0) -> Series:
     work = order + 4
     sig = sigma_z(work)
     z = Series.x(work)
-    t1v = MultiPoly.var(nvars, t1)
-    geo_z = Series(0, [t1v**k for k in range(work + 1)], work)
-    geo_s_coeffs = [MultiPoly.const(nvars, 1)] + [MultiPoly.zero(nvars)] * work
-    spow = Series.const(Fraction(1), work)
-    for k in range(1, work + 1):
-        spow = (spow * sig).truncate(work)
-        if spow.is_zero():
-            break
-        t1k = t1v**k
-        for j in range(max(spow.low, 0), spow.high + 1):
-            geo_s_coeffs[j] = geo_s_coeffs[j] + spow.coeff(j) * t1k
-    geo_s = Series(0, geo_s_coeffs, work)
+    t1v = MultiPoly.var(nvars, 0)
+    geo_z = _geometric_kernel(z, t1v, work)
+    geo_s = _geometric_kernel(sig, t1v, work)
     inv1pz = (1 + z).reciprocal(work)
     eta_inv = (sig - z).reciprocal()  # 1/eta(1/z)
     term1 = t1v**2 * (z * geo_z)
@@ -230,12 +231,12 @@ def kernel_alt_form(order: int, nvars: int = 1, t1: int = 0) -> Series:
 __all__ = [
     "rho_poly",
     "apply_D",
+    "root_coordinate",
     "sigma_z",
     "sigma_tilde_w",
     "eta_series",
     "y_of_x",
     "t_of_x",
-    "poly_at_series",
     "x_expand",
     "poly_to_w_laurent",
     "odd_projection",

@@ -307,7 +307,9 @@ class Series:
             if not is_zero_coeff(c):
                 acc = acc + gpow * c
         if self.low < 0:
-            ginv = g.reciprocal()
+            # a finite f.order fixes how far 1/g is read: the cut below plus
+            # the headroom g^(-k) loses for k up to -f.low
+            ginv = g.reciprocal(None if self.order is None else (self.order - self.low) * g.low - 1)
             p = Series.const(Fraction(1), None)
             for k in range(1, -self.low + 1):
                 p = p * ginv

@@ -13,11 +13,10 @@ from hurwitzlab.bm import (
     w_from_fit,
     w_invariants,
     w_poly,
-    x_expand_multi,
 )
 from hurwitzlab.bm import _w_tilde_series, _working_order
 from hurwitzlab.harness import ACCEPTANCE_SET
-from hurwitzlab.lambert import kernel_K
+from hurwitzlab.lambert import kernel_K, x_expand
 from hurwitzlab.multipoly import MultiPoly
 
 
@@ -117,7 +116,7 @@ def test_odd_principal_part_of_w():
 
 def test_x_expansion_01_3():
     # coefficient of x1 x2 x3 in W_{0,3} is h(0;1,1,1)/b! * 1*1*1 = 24/24
-    got = x_expand_multi(w_poly(0, 3), 2)
+    got = x_expand(w_poly(0, 3), 2)
     assert got[(1, 1, 1)] == 1
 
 

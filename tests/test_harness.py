@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hurwitzlab import harness
+from hurwitzlab import harness, hurwitz
 from hurwitzlab.cli import main
 from hurwitzlab.hurwitz import ConflictError, HurwitzTable
 
@@ -51,6 +51,36 @@ def test_cli_hurwitz_value(tmp_path, capsys):
     rep = json.loads(captured.out)
     assert rep["campaign"] == "hurwitz"
     assert all(row["status"] == "pass" for row in rep["checks"])
+
+
+def test_cli_hurwitz_beyond_the_cut_and_join_table_is_inconclusive(capsys):
+    # d = 11: no second route, so the row is inconclusive, not a pass
+    assert main(["hurwitz", "--g", "3", "--mu", "6,5"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert [(row["name"], row["status"]) for row in rep["checks"]] == [
+        ("h-connected-g3-mu[6, 5]", "inconclusive")
+    ]
+
+
+def test_hurwitz_row_compares_against_the_cut_and_join_table(monkeypatch, capsys):
+    rows = harness.campaign_hurwitz(2, (4, 3))
+    assert rows[0]["ref"] == "character route vs cut-and-join table"
+    assert rows[0]["status"] == "pass"
+    # a wrong disconnected-number source conflicts with the character route
+    real = hurwitz.cut_and_join_evolve
+    monkeypatch.setattr(
+        hurwitz, "cut_and_join_evolve", lambda: {k: 2 * v for k, v in real().items()}
+    )
+    hurwitz._cutjoin_table.cache_clear()
+    hurwitz.h_connected_cutjoin.cache_clear()
+    try:
+        with pytest.raises(ConflictError, match="1/2 .* vs 1 "):
+            harness.campaign_hurwitz(1, (2,), HurwitzTable())
+        assert main(["hurwitz", "--g", "2", "--mu", "4,3"]) == 1
+        assert "conflict" in capsys.readouterr().err
+    finally:
+        hurwitz._cutjoin_table.cache_clear()
+        hurwitz.h_connected_cutjoin.cache_clear()
 
 
 def test_cli_curve_csv(capsys):

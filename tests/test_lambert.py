@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from hurwitzlab.lambert import (
     apply_D,
     eta_series,
@@ -9,6 +11,7 @@ from hurwitzlab.lambert import (
     odd_projection,
     poly_to_w_laurent,
     rho_poly,
+    root_coordinate,
     sigma_tilde_w,
     sigma_z,
     t_of_x,
@@ -17,7 +20,7 @@ from hurwitzlab.lambert import (
 )
 from hurwitzlab.multipoly import MultiPoly
 from hurwitzlab.rationals import double_factorial, factorial
-from hurwitzlab.series import Series, eq_through, exp_series
+from hurwitzlab.series import Series, eq_through, exp_series, log1p_series
 
 SIGMA_COEFFS = {
     1: Fraction(-1),
@@ -36,12 +39,34 @@ def test_sigma_printed_expansion():
 
 
 def test_sigma_satisfies_defining_equation():
-    order = 10
-    s = sigma_z(order)
-    e = exp_series(order)
-    lhs = (1 + Series.x(order)) * e.compose(-Series.x(order))
-    rhs = (1 + s) * e.compose(-s)
-    assert eq_through(lhs, rhs, 0, order)
+    # sigma comes from the root coordinate, so this checks it independently.
+    # F(s) = (1+s)e^{-s} has F'(sigma) = O(z), so F(sigma) through z^(order+1)
+    # depends on sigma only through z^order: a zero z^(order+1) term is as
+    # good as the true one, and the last claimed coefficient is checked too
+    for order in (2, 10, 28):
+        s = sigma_z(order)
+        top = order + 1
+        s = Series(s.low, s.coeffs, top)
+        e = exp_series(top)
+        lhs = (1 + Series.x(top)) * e.compose(-Series.x(top))
+        rhs = (1 + s) * e.compose(-s)
+        assert eq_through(lhs, rhs, 0, top), order
+
+
+@pytest.mark.parametrize("order", [2, 3, 7, 16])
+def test_sigma_claims_exactly_its_order(order):
+    assert sigma_z(order).order == order
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 12])
+def test_root_coordinate_squares_to_the_curve(order):
+    zeta = root_coordinate(order)
+    z = Series.x(order + 1)
+    # zeta^2 = 2(z - log(1+z)) through z^(order + 1), the order zeta^2 claims
+    square = zeta * zeta
+    assert square.order == order + 1
+    assert eq_through(square, (z - log1p_series(order + 1)) * 2, 0, order + 1)
+    assert zeta.order == order and zeta.coeff(1) == 1
 
 
 def test_sigma_is_an_involution():
@@ -96,25 +121,27 @@ def test_x_expand_rho():
     for k in range(0, 4):
         got = x_expand(rho_poly(k), order)
         for m in range(1, order + 1):
-            assert got.coeff(m) == Fraction(m ** (m + k), factorial(m)), (k, m)
+            assert got[(m,)] == Fraction(m ** (m + k), factorial(m)), (k, m)
 
 
 def test_x_expand_first_terms():
     got = x_expand(rho_poly(0), 3)
-    assert got.coeff(1) == 1
-    assert got.coeff(2) == 2
-    assert got.coeff(3) == Fraction(9, 2)
-    # same series from the raw -1 - t representation
+    assert got[(1,)] == 1
+    assert got[(2,)] == 2
+    assert got[(3,)] == Fraction(9, 2)
+    # same expansion from the raw -1 - t representation
     raw = MultiPoly(1, {(0,): -1, (1,): -1})
-    assert eq_through(x_expand(raw, 3), got, 0, 3)
+    assert x_expand(raw, 3) == got
 
 
 def test_field_duality_D_vs_x_ddx():
     order = 7
     for k in range(0, 6):
         lhs = x_expand(apply_D(rho_poly(k), 0), order)
-        rhs = x_expand(rho_poly(k), order).differentiate() * Series.x(order)
-        assert eq_through(lhs, rhs, 1, order)
+        rhs = x_expand(rho_poly(k), order)
+        # x d/dx multiplies the x^m coefficient by m
+        for m in range(1, order + 1):
+            assert lhs.get((m,), 0) == m * rhs.get((m,), 0), (k, m)
 
 
 def test_lemma2_no_pole_at_P():

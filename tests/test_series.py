@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzlab.series import (
@@ -70,6 +70,14 @@ def test_compose_examples():
 def test_compose_rejects_constant_term():
     with pytest.raises(ValueError):
         exp_series(3).compose(Series(0, [1, 1], order=3))
+
+
+def test_compose_laurent_f_with_an_exact_g_of_two_terms():
+    # 1/(z + z^2) is read only as far as f = 1/z + O(z^0) decides: z^-1
+    got = Series(-1, [1], -1).compose(Series(1, [1, 1], None))
+    assert got == Series(-1, [Fraction(1)], -1)
+    got = Series(-2, [1, 0, 0], 0).compose(Series(1, [1, 1], None))
+    assert got == Series(-2, [Fraction(1), Fraction(-2), Fraction(3)], 0)
 
 
 def test_reverse_lambert_coefficients():
@@ -253,9 +261,6 @@ def test_pow_ignores_coefficients_past_the_order(low, a, ta, n):
 @settings(max_examples=80, deadline=None)
 def test_compose_ignores_coefficients_past_either_order(la, a, ta, lb, b, tb, g_exact):
     b[0] = b[0] or 1
-    # a pole of f needs 1/g, and the reciprocal of an exact g of two or more
-    # terms is an infinite series that compose does not expand: it raises
-    assume(not (g_exact and la < 0 and len(b) > 1))
     f, f_full = _known_and_completed(la, a, ta)
     if g_exact:
         g = g_full = Series(lb, [Fraction(c) for c in b], None)
