@@ -18,8 +18,8 @@ from . import __version__
 from .hurwitz import (
     HurwitzTable,
     ResourceGuardError,
+    _cutjoin_table,
     branch_count,
-    cut_and_join_evolve,
     disconnected_by_b,
     fit_P_polynomial,
     h_bruteforce,
@@ -349,7 +349,7 @@ def _r_matrix_rows() -> list:
 
 def _hurwitz_route_rows() -> list:
     checks = []
-    table = cut_and_join_evolve(d_max=6, b_max=8)
+    table = _cutjoin_table()
     ok_cutjoin = all(
         table[(mu, b)] == disconnected_by_b(mu, b)
         for d in range(1, 7)

@@ -19,15 +19,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, product
 from math import comb, factorial, prod
+from operator import itemgetter
 
 from .multipoly import MultiPoly
 from .partitions import (
     Partition,
-    _mn,
-    central_character_f2,
+    _character_column,
     check_partition,
     dim_hook,
     enumerate_partitions,
@@ -58,36 +58,22 @@ def branch_count(g: int, mu) -> int:
 
 
 @lru_cache(maxsize=None)
-def _lam_data(d: int):
-    lams = enumerate_partitions(d)
-    dims = [dim_hook(l) for l in lams]
-    # f2 is always an integer
-    f2s = [int(central_character_f2(l)) for l in lams]
-    return lams, dims, f2s
-
-
-@lru_cache(maxsize=None)
-def _char_vector(mu: Partition):
-    lams, _, _ = _lam_data(sum(mu))
-    return tuple(_mn(l, mu) for l in lams)
+def _f2_weights(mu: Partition) -> tuple[tuple[int, int], ...]:
+    """Pairs (f2, sum of dim_lam * chi^lam(mu) over the lam with that f2),
+    over the support of the character column; f2 is always an integer."""
+    weights: dict[int, int] = {}
+    for lam, chi in _character_column(mu).items():
+        f2 = sum(a * (a - 2 * i - 1) for i, a in enumerate(lam)) // 2
+        weights[f2] = weights.get(f2, 0) + dim_hook(lam) * chi
+    return tuple((f2, w) for f2, w in weights.items() if w)
 
 
 @lru_cache(maxsize=None)
 def disconnected_by_b(mu: Partition, b: int) -> Fraction:
     """Disconnected Hurwitz number indexed by (mu, number of transpositions)."""
     mu = check_partition(mu)
-    d = sum(mu)
-    if d == 0:
-        return Fraction(1 if b == 0 else 0)
-    _, dims, f2s = _lam_data(d)
-    chis = _char_vector(mu)
-    total = 0
-    for dim, f2, chi in zip(dims, f2s, chis):
-        if chi and f2 == 0:
-            total += dim * chi if b == 0 else 0
-        elif chi:
-            total += dim * chi * f2**b
-    return Fraction(total, factorial(d) * prod(mu))
+    total = sum(w * f2**b for f2, w in _f2_weights(mu))
+    return Fraction(total, factorial(sum(mu)) * prod(mu))
 
 
 def h_disconnected_char(g: int, mu) -> Fraction:
@@ -125,7 +111,16 @@ def _rooted_connected(g: int, mu, disconnected, connected) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
+def _partition_cache(fn):
+    """``lru_cache`` keyed on the checked partition, so that mu may be any
+    sequence of parts (a list too), as ``fock.a_correlator`` accepts."""
+    cached = lru_cache(maxsize=None)(fn)
+    call = wraps(fn)(lambda g, mu: cached(g, check_partition(mu)))
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
+@_partition_cache
 def h_connected(g: int, mu) -> Fraction:
     """Connected Hurwitz number h(g; mu), genus g >= 0, from the character sums."""
     return _rooted_connected(g, mu, disconnected_by_b, h_connected)
@@ -233,7 +228,7 @@ def _cutjoin_disconnected(mu: Partition, b: int) -> Fraction:
     return _cutjoin_table()[(mu, b)]
 
 
-@lru_cache(maxsize=None)
+@_partition_cache
 def h_connected_cutjoin(g: int, mu) -> Fraction:
     """h(g; mu) from the cut-and-join table, built once per process at its
     guard d <= 10, b <= 16; beyond the table a ResourceGuardError."""
@@ -260,53 +255,46 @@ def _cycle_type(perm) -> Partition:
     return tuple(sorted(out, reverse=True))
 
 
-def _merge_blocks(partn, i, j):
-    bi = bj = None
-    for blk in partn:
-        if i in blk:
-            bi = blk
-        if j in blk:
-            bj = blk
-    if bi is bj:
-        return partn
-    merged = tuple(sorted(bi + bj))
-    rest = [blk for blk in partn if blk is not bi and blk is not bj]
-    return tuple(sorted(rest + [merged]))
-
-
 def h_bruteforce(g: int, mu) -> Fraction:
     """Connected Hurwitz number by explicit monodromy counting.
 
     Counts tuples of b transpositions with product in the class of mu whose
-    generated group acts transitively (tracked via the orbit partition),
-    then applies the |Aut(mu)|/d! normalization.
+    generated group acts transitively, then applies the |Aut(mu)|/d!
+    normalization.  The orbits are tracked as labels: label[i] is the
+    smallest point in the orbit of i, a transposition (i j) joining two
+    orbits relabels the larger label to the smaller, and the group is
+    transitive iff every label is 0.
     """
     mu = check_partition(mu)
     d = sum(mu)
     b = branch_count(g, mu)
     if d > 7 or b > 8:
         raise ResourceGuardError(f"brute-force guard: |mu|={d}, b={b}")
-    if b < 0:
+    if b < 0 or not mu:  # the empty cover is not connected
         return Fraction(0)
-    taus = list(combinations(range(d), 2))
     ident = tuple(range(d))
-    singletons = tuple((i,) for i in range(d))
-    states: dict[tuple, int] = {(ident, singletons): 1}
+    taus = []  # (i, j, the map perm -> tau . perm, which swaps the images i and j)
+    for i, j in combinations(ident, 2):
+        swap = list(ident)
+        swap[i], swap[j] = j, i
+        taus.append((i, j, itemgetter(*swap)))
+    states: dict[tuple, int] = {(ident, ident): 1}
     for _ in range(b):
         nxt: dict[tuple, int] = {}
-        for (perm, partn), cnt in states.items():
-            for i, j in taus:
-                newperm = list(perm)
-                newperm[i], newperm[j] = perm[j], perm[i]
-                # tau . perm as functions: swap the images i and j
-                key = (tuple(newperm), _merge_blocks(partn, i, j))
+        for (perm, label), cnt in states.items():
+            for i, j, apply in taus:
+                lo, hi = label[i], label[j]
+                if lo > hi:
+                    lo, hi = hi, lo
+                merged = label if lo == hi else tuple(lo if x == hi else x for x in label)
+                key = (apply(perm), merged)
                 nxt[key] = nxt.get(key, 0) + cnt
         states = nxt
-    full = (tuple(range(d)),)
+    transitive = (0,) * d
     total = sum(
         cnt
-        for (perm, partn), cnt in states.items()
-        if partn == full and _cycle_type(perm) == mu
+        for (perm, label), cnt in states.items()
+        if label == transitive and _cycle_type(perm) == mu
     )
     _, aut = z_aut(mu)
     return Fraction(aut * total, factorial(d))

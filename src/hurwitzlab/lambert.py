@@ -160,8 +160,11 @@ def odd_projection(f: Series, order: int) -> dict[int, object]:
 
 
 def lemma2_check(k_max: int, order: int) -> dict:
-    """Check rho_k(t) + rho_k(sigma-tilde(t)) has no pole at P for k <= k_max."""
-    sig = sigma_z(order + 2 * k_max + 6)
+    """Check rho_k(t) + rho_k(sigma-tilde(t)) has no pole at P for k <= k_max.
+
+    rho_k has degree 2k+1, and sigma^-m is known through z^(N-1-m) for sigma
+    through z^N, so z^-1 at m = 2k+1 needs the least order N = 2k+1."""
+    sig = sigma_z(max(2, 2 * k_max + 1))
     results = {}
     for k in range(k_max + 1):
         f = poly_to_w_laurent(rho_poly(k), order)

@@ -2,8 +2,10 @@
 central character.
 
 Partitions are plain tuples of weakly decreasing positive ints; the empty
-partition is ``()``.  Characters are computed by recursive border-strip
-removal (Murnaghan-Nakayama) with a global memo table.
+partition is ``()``.  Characters come by two Murnaghan-Nakayama routes:
+``mn_character`` removes border strips from lam (with a global memo table);
+``_character_column`` adds them to the empty partition and builds only the
+nonzero entries of a whole column {lam: chi^lam(mu)}.
 """
 
 from __future__ import annotations
@@ -114,6 +116,32 @@ def _mn(lam: Partition, mu: Partition) -> int:
         total += (-1) ** height * _mn(newlam, rest)
     _MN_MEMO[key] = total
     return total
+
+
+def _character_column(mu: Partition) -> dict[Partition, int]:
+    """{lam: chi^lam(mu)} over the lam with chi^lam(mu) != 0, by adding border
+    strips of sizes mu[-1], ..., mu[0] to the empty partition with sign
+    (-1)^height.  As in ``_border_strips``, but with d = |mu| beads held as
+    the bits of an int, adding a strip of size r moves a bead from b to a
+    free b + r; its height is the number of beads strictly between."""
+    column = {(1 << sum(mu)) - 1: 1}
+    for r in reversed(mu):
+        nxt: dict[int, int] = {}
+        for beads, chi in column.items():
+            movable = beads & ~(beads >> r)
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                moved = beads ^ low ^ (low << r)
+                height = (beads & ((low << r) - (low << 1))).bit_count()
+                nxt[moved] = nxt.get(moved, 0) + (-chi if height % 2 else chi)
+        column = {beads: chi for beads, chi in nxt.items() if chi}
+    out = {}
+    for beads, chi in column.items():
+        # the k-th lowest bead, at p, is the part p - k
+        pos = [p for p in range(beads.bit_length()) if beads >> p & 1]
+        out[tuple(p - k for k, p in enumerate(pos) if p > k)[::-1]] = chi
+    return out
 
 
 def z_aut(mu) -> tuple[int, int]:

@@ -13,6 +13,7 @@ from hurwitzlab.hurwitz import (
     fit_P_polynomial,
     h_bruteforce,
     h_connected,
+    h_connected_cutjoin,
     h_disconnected_char,
     hurwitz_scaled_value,
 )
@@ -81,13 +82,19 @@ def test_cut_and_join_seed_steps():
 
 
 def test_three_route_equality_connected():
-    # brute force vs character-route connected numbers
-    for d in range(1, 6):
+    # brute force vs character-route connected numbers on the whole
+    # brute-force range up to degree 6
+    for d in range(0, 7):
         for mu in enumerate_partitions(d):
-            for g in range(0, 3):
+            for g in range(0, 6):
                 if branch_count(g, mu) > 8:
                     continue
                 assert h_bruteforce(g, mu) == h_connected(g, mu), (g, mu)
+
+
+def test_connected_numbers_accept_a_list():
+    assert h_connected(0, [2, 1]) == h_connected(0, (2, 1)) == 4
+    assert h_connected_cutjoin(0, [2, 1]) == h_connected_cutjoin(0, (2, 1)) == 4
 
 
 def test_empty_partition_is_not_a_connected_cover():

@@ -150,6 +150,16 @@ def test_lemma2_no_pole_at_P():
         assert r["holomorphic_at_P"], (k, r)
 
 
+@pytest.mark.parametrize("k_max", range(1, 7))
+def test_lemma2_raises_with_sigma_one_order_short(monkeypatch, k_max):
+    from hurwitzlab import lambert
+
+    assert all(r["holomorphic_at_P"] for r in lemma2_check(k_max, 12).values())
+    monkeypatch.setattr(lambert, "sigma_z", lambda order: sigma_z(order - 1))
+    with pytest.raises(ValueError, match="beyond validity order"):
+        lemma2_check(k_max, 12)
+
+
 def test_lemma2_k0_value():
     # rho_0 + rho_0(sigma-tilde) = -2 - (t + sigma-tilde(t)) = -4/3 + O(1/t^2)
     f = poly_to_w_laurent(rho_poly(0), 8)

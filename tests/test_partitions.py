@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzlab.partitions import (
+    _character_column,
+    _mn,
     central_character_f2,
     conjugate,
     dim_hook,
@@ -55,6 +57,20 @@ def test_column_orthogonality(n):
         for nu in parts[i:]:
             dot = sum(a * b for a, b in zip(chars[mu], chars[nu]))
             assert dot == (z_aut(mu)[0] if mu == nu else 0), (mu, nu)
+
+
+def test_character_column_is_the_nonzero_part_of_the_removal_route():
+    for d in range(0, 13):
+        lams = enumerate_partitions(d)
+        for mu in lams:
+            column = _character_column(mu)
+            assert column == {lam: _mn(lam, mu) for lam in lams if _mn(lam, mu)}, mu
+
+
+def test_character_column_support_at_five_sixes():
+    column = _character_column((6, 6, 6, 6, 6))
+    assert len(column) == 918
+    assert all(column.values())
 
 
 def test_central_character_examples():
