@@ -353,7 +353,8 @@ def _h_stable(g: int, n: int, nvars: int, tvars) -> MultiPoly:
 
 
 def cutjoin_t_check(g: int, n: int) -> dict:
-    """Verify the t-variable cut-and-join identity exactly for (g, n)."""
+    """Verify the t-variable cut-and-join identity exactly for (g, n); if it
+    fails, ``witness`` is (first differing exponents, lhs coeff, rhs coeff)."""
     if 2 * g - 2 + n <= 0:
         raise ValueError("stable (g, n) required")
     nv = n
@@ -428,9 +429,11 @@ def cutjoin_t_check(g: int, n: int) -> dict:
             if f2 is None:
                 continue
             rhs = rhs + apply_D(f1, k) * apply_D(f2, k) * half
+    rep = {"g": g, "n": n, "identity": "holds", "lhs": lhs, "rhs": rhs}
     if lhs != rhs:
-        raise AssertionError(f"cut-and-join identity fails at (g,n)=({g},{n})")
-    return {"g": g, "n": n, "identity": "holds", "lhs": lhs, "rhs": rhs}
+        e = min(m for m in set(lhs.terms) | set(rhs.terms) if lhs.coeff(m) != rhs.coeff(m))
+        rep.update(identity="fails", witness=(e, lhs.coeff(e), rhs.coeff(e)))
+    return rep
 
 
 __all__ = [

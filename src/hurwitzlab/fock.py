@@ -241,14 +241,16 @@ def _exp_rate_series(rate: Fraction, order: int) -> Series:
     return Series(0, [rate**p / factorial(p) for p in range(order + 1)], order)
 
 
-def _a_row(lam: Partition, coeff: dict, lift, order: int, cutoff: int) -> dict:
+def _a_row(lam: Partition, coeff: dict, lift, reads: dict, cutoff: int, memo: dict) -> dict:
     """Row lam of sum_k coeff[k] E_k(x), each E_k(x) entry lifted by ``lift``.
 
     The entry is the E_0 diagonal at k = 0 and sign * e^{rate x} for each
-    move otherwise, built through x^order.  Only the k that land on an
-    energy in [0, cutoff] are visited, so no state above the cutoff is
-    multiplied out; each target comes from one (k, move), so the row is
-    {nu: entry}.
+    move otherwise, built through x^reads[k], the last power its product
+    with coeff[k] reads.  Off the diagonal that product depends on lam only
+    through (k, rate): it is built once per operator into ``memo``, and
+    each move applies its sign.  Only the k that land on an energy in
+    [0, cutoff] are visited, so no state above the cutoff is multiplied
+    out; each target comes from one (k, move), so the row is {nu: entry}.
     """
     e = energy(lam)
     row = {}
@@ -256,10 +258,13 @@ def _a_row(lam: Partition, coeff: dict, lift, order: int, cutoff: int) -> dict:
         if not e - cutoff <= k <= e:
             continue
         if k == 0:
-            row[lam] = ck * lift(_diagonal_e0_x(lam, order))
+            row[lam] = ck * lift(_diagonal_e0_x(lam, reads[0]))
             continue
         for nu, sign, rate in _e_moves(lam, k):
-            row[nu] = ck * lift(_exp_rate_series(rate, order)) * sign
+            entry = memo.get((k, rate))
+            if entry is None:
+                entry = memo[(k, rate)] = ck * lift(_exp_rate_series(rate, reads[k]))
+            row[nu] = entry * sign
     return row
 
 
@@ -280,24 +285,33 @@ def apply_a_integer(m: int, v: FockVector, work_order: int) -> FockVector:
     pref = zeta_over_um**m
     inv_zeta_u = zeta_u.reciprocal()
     zpows: dict[int, Series] = {0: Series.const(Fraction(1), w)}
-    for k in range(1, v.cutoff + 1):
+    # a row of lam visits only k <= |lam|
+    for k in range(1, min(v.cutoff, max(map(energy, v.coeffs), default=0)) + 1):
         zpows[k] = (zpows[k - 1] * zeta_u).truncate(w)
     for k in range(-1, -m - 1, -1):
         zpows[k] = zpows[k + 1] * inv_zeta_u
     coeff = {k: pref * zk * (Fraction(1) / pochhammer(m, k)) for k, zk in zpows.items()}
+    reads, memo = dict.fromkeys(coeff, w), {}
     out = FockVector({}, v.cutoff, v.truncated)
     for lam, c in v.coeffs.items():
         if energy(lam) + m > v.cutoff:
             out.truncated = True  # E_{-m} raises the energy by m
-        for nu, entry in _a_row(lam, coeff, lambda s: _x_to_u(s, m, w), w, v.cutoff).items():
+        row = _a_row(lam, coeff, lambda s: _x_to_u(s, m, w), reads, v.cutoff, memo)
+        for nu, entry in row.items():
             out.add(nu, c * entry)
     return out
 
 
 @lru_cache(maxsize=None)
+def _inv_zeta_x(order: int) -> Series:
+    """1/zeta(x) through x^order, shared by the E_0 diagonals of every lam."""
+    return zeta_series(order + 2).reciprocal(order)
+
+
+@lru_cache(maxsize=None)
 def _diagonal_e0_x(lam: Partition, order: int) -> Series:
     """E_0(x) eigenvalue on v_lambda as a Laurent series in the argument x."""
-    acc = zeta_series(order + 2).reciprocal(order)
+    acc = _inv_zeta_x(order)
     for i, a in enumerate(lam):
         top = Fraction(2 * a - 2 * i - 1, 2)
         bot = Fraction(-2 * i - 1, 2)
@@ -482,9 +496,12 @@ def a_symbolic_matrix(z_order: int, u_order: int, cutoff: int):
         # an E_k(x) entry starts at x^-1 or later, so z^(z_order+1) of
         # coeff[k] is the last power that reaches z^z_order of a row product
         coeff[k] = (pref * zk * poch).truncate(z_order + 1)
-    out = {}
+    # the product with coeff[k] reads its entry through z^(z_order - low);
+    # a zero coeff[k] (k > z_order + 1) still gives its targets a zero entry
+    reads = {k: z_order - ck.low for k, ck in coeff.items()}
+    out, memo = {}, {}
     for lam in basis:
-        row = _a_row(lam, coeff, lambda s: _biv_from_x(s, zwork), zwork, cutoff)
+        row = _a_row(lam, coeff, lambda s: _biv_from_x(s, zwork), reads, cutoff, memo)
         for nu, biv in row.items():
             out[(lam, nu)] = biv.truncate(z_order)
     return out

@@ -324,9 +324,11 @@ def campaign_cutjoin() -> list:
     checks = []
     for (g, n) in CUTJOIN_SET:
         rep = cutjoin_t_check(g, n)
+        got = rep["identity"]
+        if got == "fails":
+            got = "fails at t^{}: lhs {}, rhs {}".format(*rep["witness"])
         checks.append(
-            check(f"cutjoin-identity-{g}-{n}", "cut-and-join polynomial identity",
-                  rep["identity"], "holds")
+            check(f"cutjoin-identity-{g}-{n}", "cut-and-join polynomial identity", got, "holds")
         )
     return checks
 

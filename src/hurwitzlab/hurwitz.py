@@ -68,7 +68,21 @@ def _f2_weights(mu: Partition) -> tuple[tuple[int, int], ...]:
     return tuple((f2, w) for f2, w in weights.items() if w)
 
 
-@lru_cache(maxsize=None)
+def _partition_cache(fn):
+    """``lru_cache`` keyed on mu as a tuple, so that mu may be any sequence
+    of parts (a list too), as ``fock.a_correlator`` accepts; ``fn`` checks
+    the partition on a miss.  mu is the first argument of
+    ``disconnected_by_b`` and the second otherwise."""
+    cached = lru_cache(maxsize=None)(fn)
+    if fn.__code__.co_varnames[0] == "mu":
+        call = wraps(fn)(lambda mu, b: cached(tuple(mu), b))
+    else:
+        call = wraps(fn)(lambda g, mu: cached(g, tuple(mu)))
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
+@_partition_cache
 def disconnected_by_b(mu: Partition, b: int) -> Fraction:
     """Disconnected Hurwitz number indexed by (mu, number of transpositions)."""
     mu = check_partition(mu)
@@ -109,15 +123,6 @@ def _rooted_connected(g: int, mu, disconnected, connected) -> Fraction:
                 if h_t:
                     total -= comb(b, b_t) * h_t * disconnected(rest, b - b_t)
     return total
-
-
-def _partition_cache(fn):
-    """``lru_cache`` keyed on the checked partition, so that mu may be any
-    sequence of parts (a list too), as ``fock.a_correlator`` accepts."""
-    cached = lru_cache(maxsize=None)(fn)
-    call = wraps(fn)(lambda g, mu: cached(g, check_partition(mu)))
-    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-    return call
 
 
 @_partition_cache

@@ -189,6 +189,22 @@ def test_cutjoin_identity_04_12():
     assert cutjoin_t_check(1, 2)["identity"] == "holds"
 
 
+def test_cutjoin_mismatch_is_a_fail_row(monkeypatch):
+    # a doubled join diagonal adds half the diagonal to the (1,1) right side;
+    # the row fails and names the lowest monomial of that difference
+    diag = d1d2_h02_diagonal()
+    lhs = cutjoin_t_check(1, 1)["lhs"]
+    monkeypatch.setattr(bm, "d1d2_h02_diagonal", lambda: diag * 2)
+    rows = {row["name"]: row for row in harness.campaign_cutjoin()}
+    row = rows["cutjoin-identity-1-1"]
+    e = min(diag.terms)
+    assert row["status"] == "fail"
+    want = lhs.coeff(e) + diag.coeff(e) / 2
+    assert row["lhs"] == f"fails at t^{e}: lhs {lhs.coeff(e)}, rhs {want}"
+    others = [r for name, r in rows.items() if name != row["name"]]
+    assert len(others) == 3 and all(r["status"] == "pass" and r["lhs"] == "holds" for r in others)
+
+
 def test_cutjoin_top_degree_layer_04():
     # the highest-degree homogeneous layer is a nontrivial sub-identity
     rep = cutjoin_t_check(0, 4)

@@ -314,6 +314,35 @@ def test_integer_a_operator_flags_a_dropped_state():
     assert set(v.coeffs) <= {(), (1,)}
 
 
+def test_integer_a_operator_is_linear_over_mixed_energies():
+    # a vector's operator build reaches the k of its highest energy; each
+    # state's part must equal its application alone, whose build stops at
+    # its own energy.  E_2 takes the hook (2,) to the vacuum, so a build
+    # one k short differs between the two
+    one = Series.const(Fraction(1), 10)
+    parts = {(): one, (2,): one * 3, (2, 1): one * 7, (3,): one * Fraction(-2, 5)}
+    for cutoff in (6, 8):
+        for m in (1, 2):
+            got = apply_a_integer(m, FockVector(dict(parts), cutoff), 10)
+            want = FockVector({}, cutoff)
+            for lam, c in parts.items():
+                want = want + apply_a_integer(m, FockVector({lam: c}, cutoff), 10)
+            assert got.coeffs == want.coeffs and got.truncated == want.truncated, (cutoff, m)
+
+
+def test_symbolic_matrix_builds_share_no_entries():
+    # each build keeps its own entry memo: a shallower build must not leak
+    # its shorter entries into a deeper one, nor a build at another cutoff
+    # change one built before it
+    a_symbolic_matrix(1, 2, 6)
+    before = a_symbolic_matrix(2, 2, 6)
+    a_symbolic_matrix(2, 2, 8)
+    after = a_symbolic_matrix(2, 2, 6)
+    assert list(before) == list(after) and len(before) == 300
+    for key, biv in before.items():
+        assert biv == after[key] and biv.order == 2, key
+
+
 def test_symbolic_matrix_is_a_truncation_of_a_deeper_one():
     # each per-k coefficient is kept only through z^(z_order+1); a deeper
     # build truncated back must give every entry, validity orders included

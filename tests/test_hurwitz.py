@@ -95,6 +95,7 @@ def test_three_route_equality_connected():
 def test_connected_numbers_accept_a_list():
     assert h_connected(0, [2, 1]) == h_connected(0, (2, 1)) == 4
     assert h_connected_cutjoin(0, [2, 1]) == h_connected_cutjoin(0, (2, 1)) == 4
+    assert disconnected_by_b([3, 1, 1], 5) == disconnected_by_b((3, 1, 1), 5)
 
 
 def test_empty_partition_is_not_a_connected_cover():
