@@ -144,8 +144,6 @@ def _splits(g: int, rest: tuple):
 def _w_factor_series(g1: int, nargs_vars: tuple, s_pows, s_neg, nvars, order):
     """W_{g1, 1+|vars|}(1/s, t_vars) for a split factor."""
     k = len(nargs_vars)
-    if (g1, k + 1) == (0, 1):
-        return None  # zero factor
     if (g1, k + 1) == (0, 2):
         return _w02_one_series(s_pows, nargs_vars[0], nvars, order)
     return _eval_w_one_series(w_poly(g1, k + 1), s_neg, nargs_vars, nvars)
@@ -167,9 +165,7 @@ def _w_tilde_series(g: int, n: int, mode: str, order: int):
     # the (g-1, n+1) term
     if g - 1 >= 0:
         gm, nm = g - 1, n + 1
-        if (gm, nm) == (0, 1):
-            pass
-        elif (gm, nm) == (0, 2):
+        if (gm, nm) == (0, 2):
             if mode == "zs":
                 acc = acc + _w02_two_series(s1, s2, order)
             else:

@@ -6,6 +6,8 @@ identity failure, 2 when a truncation was too small to decide.  Bad input
 (an empty --mu or a part <= 0, --g < 0, an unstable (g, n), bm --x-order < 1,
 a --grid below 3g - 2 + n, --holdout < 1, a negative fock --kmax or --cutoff,
 a negative curve --order) is a usage error: exit 2 before any campaign runs.
+An A-correlator that differs between its two cutoffs exits 2, and a fit that
+misses a holdout point exits 1, each with one line on stderr.
 ``hurwitz`` compares the character value with the cut-and-join table, which
 ends at |mu| = 10 and b = 16; past it the row is inconclusive (exit 2).  Two
 routes that disagree on a value exit 1.
@@ -17,7 +19,8 @@ import argparse
 import sys
 
 from . import harness
-from .hurwitz import ConflictError
+from .fock import TruncationUnstable
+from .hurwitz import ConflictError, PolynomialityError
 from .rationals import rational_to_str
 
 
@@ -120,6 +123,12 @@ def main(argv=None) -> int:
     except ConflictError as exc:
         print(f"conflict: {exc}", file=sys.stderr)
         return 1
+    except PolynomialityError as exc:
+        print(f"not polynomial: {exc}", file=sys.stderr)
+        return 1
+    except TruncationUnstable as exc:
+        print(f"undecided truncation: {exc}", file=sys.stderr)
+        return 2
     report = harness.report_emit(args.command, params, checks)
     text = harness.format_report(report, args.format)
     if args.out:

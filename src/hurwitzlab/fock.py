@@ -379,7 +379,8 @@ def a_polynomiality_check(n: int, k: int, grid_side: int, holdout_points) -> dic
 
     The coefficient divided by the product of the arguments extends to a
     symmetric polynomial away from the unstable pairs (1,-1) and (2,0); the
-    fit is verified exactly on the given holdout points.
+    fit is verified exactly on the given holdout points, and ``miss`` is the
+    first (point, fit value, data value) that disagrees, or None.
     """
     if (n, k) in ((1, -1), (2, 0)):
         raise ValueError("unstable pair excluded from the polynomiality check")
@@ -392,14 +393,13 @@ def a_polynomiality_check(n: int, k: int, grid_side: int, holdout_points) -> dic
             val /= z
         return val
 
-    poly = grid_interpolate(n, grid_side, value)
-    holdout_ok = all(poly.eval(pt) == value(pt) for pt in holdout_points)
+    poly, miss = grid_interpolate(n, grid_side, value, holdout_points)
     return {
         "n": n,
         "k": k,
         "poly": poly,
         "symmetric": poly.is_symmetric(),
-        "holdout_ok": holdout_ok,
+        "miss": miss,
     }
 
 
@@ -436,38 +436,19 @@ def _biv_from_x(xser: Series, z_order: int) -> Series:
     return Series(lo, coeffs, zo)
 
 
-def _biv_lift_z(zser: Series, z_order: int) -> Series:
-    """Lift a plain z-series to the bivariate ring (constant in u, exact)."""
-    lo = zser.low
-    hi = zser.high
-    coeffs = [Series(0, [zser.coeff(k)], None) for k in range(lo, hi + 1)]
-    zo = zser.order if zser.order is not None else z_order
-    return Series(lo, coeffs, min(zo, z_order))
-
-
-def _falling_poly_z(k: int, z_order: int) -> Series:
-    """z(z-1)...(z-k+1) as a bivariate series."""
-    acc = Series.const(Series.const(Fraction(1), None), z_order)
-    z = Series(1, [Series.const(Fraction(1), None)], z_order)
-    for j in range(k):
-        acc = acc * (z - Series.const(Series.const(Fraction(j), None), z_order))
-    return acc
-
-
 def _inv_pochhammer_z(k: int, z_order: int) -> Series:
-    """1/((z+1)(z+2)...(z+k)) expanded in z, lifted to the bivariate ring."""
-    acc = Series.const(Fraction(1), z_order)
-    for i in range(1, k + 1):
-        geom = Series(
-            0,
-            [Fraction((-1) ** p, i ** (p + 1)) for p in range(z_order + 1)],
-            z_order,
-        )
-        acc = (acc * geom).truncate(z_order)
-    return _biv_lift_z(acc, z_order)
+    """1/(z+1)_k in the convention of ``rationals.pochhammer``, expanded in z
+    and lifted to the bivariate ring (constant in u): the product of the
+    exact factors z + i, reciprocated when k >= 0."""
+    acc = Series.const(Fraction(1), None)
+    for i in range(1, k + 1) if k >= 0 else range(k + 1, 1):
+        acc = acc * Series(0, [Fraction(i), Fraction(1)], None)
+    if k >= 0:
+        acc = acc.reciprocal(z_order)
+    return Series(acc.low, [Series.const(c) for c in acc.coeffs], z_order)
 
 
-def a_symbolic_matrix(z_order: int, u_order: int, cutoff: int):
+def a_symbolic_matrix(z_order: int, cutoff: int):
     """Matrix elements of A(z, uz) as bivariate series (z outer, u inner).
 
     Returns dict {(lam_in, lam_out): Series-over-Series}.  Entries are exact
@@ -479,7 +460,7 @@ def a_symbolic_matrix(z_order: int, u_order: int, cutoff: int):
         lam for d in range(1, cutoff + 1) for lam in enumerate_partitions(d)
     ]
     zwork = z_order + cutoff + 2
-    zx = zeta_series(zwork + u_order + 6)
+    zx = zeta_series(zwork + 6)
     # prefactor exp(z log(zeta(uz)/uz))
     log_unit = Series(0, zx.coeffs, zx.order - 1).log()  # log(zeta(x)/x)
     pref = _biv_from_x(log_unit, zwork).shift(1).exp()
@@ -492,10 +473,9 @@ def a_symbolic_matrix(z_order: int, u_order: int, cutoff: int):
         zpows[k] = (zpows[k + 1] * inv_zeta_biv).truncate(zwork)
     coeff = {}
     for k, zk in zpows.items():
-        poch = _inv_pochhammer_z(k, zwork) if k >= 0 else _falling_poly_z(-k, zwork)
         # an E_k(x) entry starts at x^-1 or later, so z^(z_order+1) of
         # coeff[k] is the last power that reaches z^z_order of a row product
-        coeff[k] = (pref * zk * poch).truncate(z_order + 1)
+        coeff[k] = (pref * zk * _inv_pochhammer_z(k, zwork)).truncate(z_order + 1)
     # the product with coeff[k] reads its entry through z^(z_order - low);
     # a zero coeff[k] (k > z_order + 1) still gives its targets a zero entry
     reads = {k: z_order - ck.low for k, ck in coeff.items()}
@@ -542,19 +522,14 @@ def _op_apply(op, vec: dict, u_order: int, top: int) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def a_commutator_suite(
-    kmax: int = 3,
-    u_order: int = 2,
-    cutoff: int = 7,
-    test_states=((), (1,), (2, 1)),
-) -> dict:
+def a_commutator_suite(kmax: int = 3, u_order: int = 2, cutoff: int = 7) -> dict:
     """Check [A_k, A_l] = (-1)^l delta_{k+l-1} for all |k|, |l| <= kmax on
-    test states, coefficientwise in u, at two cutoffs, sharing the two matrix
-    builds (through z^kmax, the highest power read) across pairs.  Each
-    A_l v is applied once per test state, and A_k A_l v and A_l A_k v once
-    per unordered pair {k, l}, keeping only targets below the band the
-    comparison reads; [A_l, A_k] is the negation of [A_k, A_l].  A pair
-    with no test state under the cutoff is inconclusive.
+    the test states (), (1,), (2, 1), coefficientwise in u, at two cutoffs,
+    sharing the two matrix builds (through z^kmax, the highest power read)
+    across pairs.  Each A_l v is applied once per test state, and A_k A_l v
+    and A_l A_k v once per unordered pair {k, l}, keeping only targets below
+    the band the comparison reads; [A_l, A_k] is the negation of [A_k, A_l].
+    A pair with no test state under the cutoff is inconclusive.
     Returns {(k, l): "pass" | "fail" | "inconclusive"}."""
     ks = list(range(-kmax, kmax + 1))
 
@@ -569,9 +544,9 @@ def a_commutator_suite(
         # compose with u-headroom: products against Laurent entries lose
         # validity, so extract deeper than the comparison window
         u_work = u_order + cut + 2
-        matrix = a_symbolic_matrix(kmax, u_order, cut)
+        matrix = a_symbolic_matrix(kmax, cut)
         ops = a_k_operators(matrix, ks, u_work)
-        states = [tuple(lam) for lam in test_states if energy(lam) <= cut]
+        states = [lam for lam in ((), (1,), (2, 1)) if energy(lam) <= cut]
         one = Series.const(Fraction(1), u_work)
         single = {
             (l, lam): _op_apply(ops[l], {lam: one}, u_work, cut) for l in ks for lam in states

@@ -305,11 +305,15 @@ def campaign_fock(u_order: int = 1, kmax: int = 3, cutoff: int = 7) -> list:
     return checks
 
 
-def _a_poly_row() -> bool:
+def _a_poly_row():
+    """True if the fit is symmetric and exact on both holdout points; a
+    holdout mismatch names the point and both values."""
     from .fock import a_polynomiality_check
 
     rep = a_polynomiality_check(1, 1, 3, [(4,), (5,)])
-    return rep["symmetric"] and rep["holdout_ok"]
+    if rep["miss"] is not None:
+        return "fails at holdout {}: fit {}, data {}".format(*rep["miss"])
+    return rep["symmetric"]
 
 
 def _two_point_value() -> Fraction:

@@ -309,22 +309,6 @@ def wk_from_potential(g: int, ks) -> Fraction:
     return base.get((g, ks), Fraction(0)) * _mult_factor(ks)
 
 
-def hodge_table(gcap: int = 2, ncap: int = 5, kcap: int = 6) -> list:
-    """Exportable table of Hodge integrals keyed by (g, k-list)."""
-    from .rationals import rational_to_str
-
-    rows = []
-    for (g, mono), c in sorted(hodge_potential(gcap, ncap, kcap).items()):
-        rows.append(
-            {
-                "g": g,
-                "k": list(mono),
-                "value": rational_to_str(c * _mult_factor(mono)),
-            }
-        )
-    return rows
-
-
 # -- the Bergman-kernel compatibility identity ----------------------------------------------
 
 
@@ -369,6 +353,5 @@ __all__ = [
     "hodge_potential",
     "hodge_integral",
     "wk_from_potential",
-    "hodge_table",
     "bergman_compat_check",
 ]

@@ -98,6 +98,19 @@ def h_disconnected_char(g: int, mu) -> Fraction:
 # -- connected numbers via rooted inclusion-exclusion ----------------------------
 
 
+@lru_cache(maxsize=None)
+def _rooted_splits(n: int) -> tuple:
+    """The splits of the indices 0..n-1 into a block T through the root 0,
+    other than all of them, and the rest, as index tuples (T without the
+    root, rest)."""
+    others = range(1, n)
+    return tuple(
+        (picked, tuple(i for i in others if i not in picked))
+        for size in range(n - 1)
+        for picked in combinations(others, size)
+    )
+
+
 def _rooted_connected(g: int, mu, disconnected, connected) -> Fraction:
     """h(g; mu) from ``disconnected(mu, b)`` by rooted inclusion-exclusion.
 
@@ -112,16 +125,14 @@ def _rooted_connected(g: int, mu, disconnected, connected) -> Fraction:
     if g < 0 or b < 0 or not mu:
         return Fraction(0)
     total = disconnected(mu, b)
-    others = range(1, len(mu))
-    for size in range(len(mu) - 1):
-        for picked in combinations(others, size):
-            mu_t = (mu[0],) + tuple(mu[i] for i in picked)
-            rest = tuple(mu[i] for i in others if i not in picked)
-            base = sum(mu_t) + len(mu_t) - 2  # b_T at genus 0
-            for b_t in range(base, b + 1, 2):
-                h_t = connected((b_t - base) // 2, mu_t)
-                if h_t:
-                    total -= comb(b, b_t) * h_t * disconnected(rest, b - b_t)
+    for t, r in _rooted_splits(len(mu)):
+        mu_t = (mu[0],) + tuple(mu[i] for i in t)
+        rest = tuple(mu[i] for i in r)
+        base = sum(mu_t) + len(mu_t) - 2  # b_T at genus 0
+        for b_t in range(base, b + 1, 2):
+            h_t = connected((b_t - base) // 2, mu_t)
+            if h_t:
+                total -= comb(b, b_t) * h_t * disconnected(rest, b - b_t)
     return total
 
 
@@ -144,12 +155,10 @@ def connected_from_disconnected(disc, index_set):
 
     def conn(subset):
         if subset not in memo:
-            root, others = subset[0], subset[1:]
             val = disc[frozenset(subset)]
-            for size in range(len(others)):
-                for picked in combinations(others, size):
-                    rest = frozenset(others) - set(picked)
-                    val = val - conn((root,) + picked) * disc[rest]
+            for t, r in _rooted_splits(len(subset)):
+                block = (subset[0],) + tuple(subset[i] for i in t)
+                val = val - conn(block) * disc[frozenset(subset[i] for i in r)]
             memo[subset] = val
         return memo[subset]
 
@@ -426,10 +435,14 @@ def _lagrange_basis(s: int):
     return basis
 
 
-def grid_interpolate(n: int, s: int, value_fn) -> MultiPoly:
+def grid_interpolate(n: int, s: int, value_fn, holdout_points):
     """The polynomial of per-variable degree < s taking the values of
     ``value_fn`` on the grid {1..s}^n (tensor-product Lagrange interpolation,
-    one axis at a time)."""
+    one axis at a time), checked exactly on ``holdout_points``.
+
+    Returns (poly, miss): ``miss`` is the first (point, fit value, data
+    value) that disagrees, or None.
+    """
     basis = _lagrange_basis(s)
     vals = {pt: value_fn(pt) for pt in product(range(1, s + 1), repeat=n)}
     for ax in range(n):
@@ -449,13 +462,18 @@ def grid_interpolate(n: int, s: int, value_fn) -> MultiPoly:
                 if c:
                     nxt[rest[:ax] + (k,) + rest[ax:]] = c
         vals = nxt
-    return MultiPoly(n, vals)
+    poly = MultiPoly(n, vals)
+    for pt in holdout_points:
+        got, expected = poly.eval(pt), value_fn(pt)
+        if got != expected:
+            return poly, (pt, got, expected)
+    return poly, None
 
 
 _FIT_CACHE: dict = {}
 
 
-def fit_P_polynomial(g: int, n: int, grid_side=None, holdout: int = 2, value_fn=None) -> PPoly:
+def fit_P_polynomial(g: int, n: int, grid_side=None, holdout: int = 2) -> PPoly:
     """Interpolate P_{g,n} on an integer grid and verify it on holdout points.
 
     A holdout mismatch is disproof-grade and raises PolynomialityError.
@@ -468,40 +486,31 @@ def fit_P_polynomial(g: int, n: int, grid_side=None, holdout: int = 2, value_fn=
         grid_side = 3 * g - 2 + n + 1
     if grid_side < deg_bound + 1:
         raise ValueError("grid side too small for the degree bound")
-    # a custom value_fn is not part of the key, so only the default fit is cached
-    key = (g, n, grid_side, holdout) if value_fn is None else None
+    key = (g, n, grid_side, holdout)
     if key in _FIT_CACHE:
         return _FIT_CACHE[key]
-    if value_fn is None:
-        value_fn = lambda mu: hurwitz_scaled_value(g, tuple(sorted(mu, reverse=True)))
-    s = grid_side
-    poly = grid_interpolate(n, s, value_fn)
+    poly, miss = grid_interpolate(
+        n,
+        grid_side,
+        lambda mu: hurwitz_scaled_value(g, tuple(sorted(mu, reverse=True))),
+        [(grid_side + j,) * n for j in range(1, holdout + 1)],
+    )
+    if miss is not None:
+        raise PolynomialityError(
+            "fit for (g,n)=({},{}) fails at holdout {}: poly gives {}, data gives {}".format(
+                g, n, *miss
+            )
+        )
     report = {
-        "grid_side": s,
-        "per_var_degree": max((poly.degree(i) for i in range(n)), default=-1),
+        "grid_side": grid_side,
         "total_degree": poly.total_degree(),
         "degree_bound": deg_bound,
         "symmetric": poly.is_symmetric(),
-        "per_var_degree_ok": all(poly.degree(i) <= deg_bound for i in range(n)),
         "total_degree_ok": poly.total_degree() <= deg_bound,
-        "holdout_points": [],
+        "holdout_ok": True,
     }
-    for j in range(1, holdout + 1):
-        pt = (s + j,) * n
-        expected = value_fn(pt)
-        got = poly.eval(pt)
-        report["holdout_points"].append(
-            {"point": list(pt), "value": rational_to_str(expected)}
-        )
-        if got != expected:
-            raise PolynomialityError(
-                f"fit for (g,n)=({g},{n}) fails at holdout {pt}: poly gives {got}, data gives {expected}"
-            )
-    report["holdout_ok"] = True
-    result = PPoly(g, n, poly, report)
-    if key is not None:
-        _FIT_CACHE[key] = result
-    return result
+    _FIT_CACHE[key] = PPoly(g, n, poly, report)
+    return _FIT_CACHE[key]
 
 
 __all__ = [

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .rationals import rational_from_str, rational_to_str
+from .rationals import rational_to_str
 
 
 class MultiPoly:
@@ -251,12 +251,6 @@ class MultiPoly:
             {"exp": list(e), "coeff": rational_to_str(c)}
             for e, c in sorted(self.terms.items(), reverse=True)
         ]
-
-    @staticmethod
-    def from_json(nvars: int, data) -> "MultiPoly":
-        return MultiPoly(
-            nvars, {tuple(row["exp"]): rational_from_str(row["coeff"]) for row in data}
-        )
 
 
 def divexact_linear_diff(p: MultiPoly, k: int, j: int) -> MultiPoly:

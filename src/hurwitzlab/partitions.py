@@ -170,10 +170,6 @@ def f2_from_central_character(lam) -> Fraction:
     return Fraction(mn_character(lam, mu) * comb(n, 2), dim_hook(lam))
 
 
-def partition_to_json(mu) -> list[int]:
-    return list(check_partition(mu))
-
-
 __all__ = [
     "Partition",
     "check_partition",
@@ -184,5 +180,4 @@ __all__ = [
     "z_aut",
     "central_character_f2",
     "f2_from_central_character",
-    "partition_to_json",
 ]

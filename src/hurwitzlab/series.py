@@ -386,11 +386,6 @@ class Series:
         return g.truncate(order)
 
 
-def eq_through(a: Series, b: Series, lo: int, hi: int) -> bool:
-    """Compare coefficients on an exponent window (raises past validity)."""
-    return all(a.coeff(k) == b.coeff(k) for k in range(lo, hi + 1))
-
-
 # -- stock series -------------------------------------------------------------
 
 
@@ -427,35 +422,11 @@ def bernoulli_exponent_series(order: int) -> Series:
     return Series(0, coeffs, order)
 
 
-def series_to_json(f: Series) -> dict:
-    """Exact rational coefficient strings plus the validity order."""
-    from .rationals import rational_to_str
-
-    return {
-        "low": f.low,
-        "order": f.order,
-        "coeffs": [rational_to_str(Fraction(c)) for c in f.coeffs],
-    }
-
-
-def series_from_json(data) -> Series:
-    from .rationals import rational_from_str
-
-    return Series(
-        int(data["low"]),
-        [rational_from_str(c) for c in data["coeffs"]],
-        None if data["order"] is None else int(data["order"]),
-    )
-
-
 __all__ = [
     "Series",
-    "eq_through",
     "is_zero_coeff",
     "exp_series",
     "log1p_series",
     "zeta_series",
     "bernoulli_exponent_series",
-    "series_to_json",
-    "series_from_json",
 ]

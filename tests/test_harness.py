@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -153,3 +154,54 @@ def test_cli_bad_input_is_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_undecided_truncation_exits_2(monkeypatch, capsys):
+    # an A-correlator that differs between its two cutoffs is undecided
+    from hurwitzlab import fock
+    from hurwitzlab.series import Series
+
+    monkeypatch.setattr(
+        fock, "a_vev", lambda mu, u_order, cutoff: Series.const(Fraction(cutoff), u_order)
+    )
+    fock._a_correlator.cache_clear()
+    try:
+        assert main(["fock", "--kmax", "1", "--cutoff", "3"]) == 2
+    finally:
+        fock._a_correlator.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "undecided truncation: A-correlator for (1,) unstable between cutoffs 6 and 8\n"
+    )
+
+
+def test_cli_holdout_miss_exits_1(monkeypatch, capsys):
+    # scaled values polynomial on the grid {1..4} and broken at the holdout 5
+    monkeypatch.setattr(
+        hurwitz, "hurwitz_scaled_value",
+        lambda g, mu: Fraction(0) if max(mu) <= 4 else Fraction(1),
+    )
+    monkeypatch.setattr(hurwitz, "_FIT_CACHE", {})
+    assert main(["polyfit", "--g", "1", "--n", "1", "--grid", "4", "--holdout", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "not polynomial: fit for (g,n)=(1,1) fails at holdout (5,): poly gives 0, data gives 1\n"
+    )
+
+
+def test_correlator_polynomiality_row_names_its_holdout_witness(monkeypatch):
+    # a connected one-point correlator whose u^1 coefficient is mu^4: the
+    # divided value mu^3 is no quadratic on the grid {1, 2, 3}, whose fit
+    # 6mu^2 - 11mu + 6 gives 58 at the first holdout point 4
+    from hurwitzlab import fock
+    from hurwitzlab.series import Series
+
+    monkeypatch.setattr(
+        fock, "a_connected", lambda mu, u_order: Series(1, [Fraction(mu[0] ** 4)], u_order)
+    )
+    rows = {row["name"]: row for row in harness.campaign_fock(1, 1, 5)}
+    row = rows["correlator-polynomiality-1pt"]
+    assert row["status"] == "fail"
+    assert row["lhs"] == "fails at holdout (4,): fit 58, data 64"

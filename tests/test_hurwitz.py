@@ -160,20 +160,14 @@ def test_fit_rejects_unstable():
         fit_P_polynomial(0, 2)
 
 
-def test_fit_detects_non_polynomial_data():
-    calls = {}
+def test_fit_detects_non_polynomial_data(monkeypatch):
+    from hurwitzlab import hurwitz
 
-    def fake(mu):
+    def fake(g, mu):
         # polynomial on the grid, broken on the first holdout point
         return Fraction(0) if max(mu) <= 4 else Fraction(1)
 
-    with pytest.raises(PolynomialityError):
-        fit_P_polynomial(1, 1, grid_side=4, holdout=1, value_fn=fake)
-
-
-def test_fit_custom_value_fns_are_not_shared():
-    # two custom value functions with equal (g, n, grid, holdout) get two fits
-    first = fit_P_polynomial(1, 2, value_fn=lambda mu: Fraction(mu[0]))
-    second = fit_P_polynomial(1, 2, value_fn=lambda mu: Fraction(mu[0]) ** 2)
-    assert first.poly.eval((5, 1)) == 5
-    assert second.poly.eval((5, 1)) == 25
+    monkeypatch.setattr(hurwitz, "hurwitz_scaled_value", fake)
+    monkeypatch.setattr(hurwitz, "_FIT_CACHE", {})
+    with pytest.raises(PolynomialityError, match=r"holdout \(5,\): poly gives 0, data gives 1"):
+        fit_P_polynomial(1, 1, grid_side=4, holdout=1)

@@ -20,7 +20,13 @@ from hurwitzlab.lambert import (
 )
 from hurwitzlab.multipoly import MultiPoly
 from hurwitzlab.rationals import double_factorial, factorial
-from hurwitzlab.series import Series, eq_through, exp_series, log1p_series
+from hurwitzlab.series import Series, exp_series, log1p_series
+
+
+def eq_through(a: Series, b: Series, lo: int, hi: int) -> bool:
+    """Compare coefficients on an exponent window (raises past validity)."""
+    return all(a.coeff(k) == b.coeff(k) for k in range(lo, hi + 1))
+
 
 SIGMA_COEFFS = {
     1: Fraction(-1),

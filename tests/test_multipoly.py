@@ -67,8 +67,3 @@ def test_ratfn_identities():
     assert (f - g).is_zero()
     h = RatFn(1 + x).reciprocal()
     assert h.deriv(0) == RatFn(-MultiPoly.const(2, 1), (1 + x) * (1 + x))
-
-
-def test_json_roundtrip():
-    p = t(0) ** 2 * Fraction(3, 7) - t(1)
-    assert MultiPoly.from_json(2, p.to_json()) == p
