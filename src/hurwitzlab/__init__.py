@@ -9,7 +9,7 @@ both as a library and through the ``hurwitzlab`` command-line tool.
 
 __version__ = "0.1.0"
 
-from .rationals import Rational, bernoulli, pochhammer
+from .rationals import bernoulli, pochhammer
 from .series import Series, zeta_series
 from .multipoly import MultiPoly
 from .partitions import (
@@ -26,12 +26,10 @@ from .hurwitz import (
     fit_P_polynomial,
     h_bruteforce,
     h_connected,
-    h_disconnected_char,
 )
 
 __all__ = [
     "__version__",
-    "Rational",
     "bernoulli",
     "pochhammer",
     "Series",
@@ -48,5 +46,4 @@ __all__ = [
     "fit_P_polynomial",
     "h_bruteforce",
     "h_connected",
-    "h_disconnected_char",
 ]

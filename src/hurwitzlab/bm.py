@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
 from .hurwitz import branch_count, fit_P_polynomial, h_connected
@@ -307,7 +308,7 @@ def bm_vs_hurwitz(g: int, n: int, x_order: int = 6) -> dict:
     got = x_expand(w, x_order)
     checked = 0
     mismatch = None
-    for mu in _tuples(n, x_order):
+    for mu in product(range(1, x_order + 1), repeat=n):
         mu_sorted = tuple(sorted(mu, reverse=True))
         b = branch_count(g, mu_sorted)
         expected = h_connected(g, mu_sorted)
@@ -330,15 +331,6 @@ def bm_vs_hurwitz(g: int, n: int, x_order: int = 6) -> dict:
         "coefficients_checked": checked,
         "mismatch": mismatch,
     }
-
-
-def _tuples(n: int, hi: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(n - 1, hi):
-        for m in range(1, hi + 1):
-            yield (m,) + rest
 
 
 # -- the cut-and-join identity in t-variables ------------------------------------------

@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", type=int, default=2)
 
     p = sub.add_parser("fock", help="wedge-space operator checks")
-    p.add_argument("--order", type=int, default=1, help="u-order for expansions")
+    p.add_argument("--order", type=int, default=1,
+                   help="u-order of the commutator comparison, raised to at least 2")
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--cutoff", type=int, default=7)
 

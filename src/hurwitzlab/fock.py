@@ -344,11 +344,16 @@ def a_correlator(mu, u_order: int):
     return _a_correlator(tuple(int(m) for m in mu), u_order)
 
 
+def _at_two_cutoffs(run, cutoff: int):
+    """run(cutoff) and run(cutoff + 2), the two runs of the two-cutoff
+    protocol: a value on the energy window counts only where they agree."""
+    return run(cutoff), run(cutoff + 2)
+
+
 @lru_cache(maxsize=None)
 def _a_correlator(mu: tuple, u_order: int) -> Series:
     cutoff = sum(mu) + max(u_order, 0) + 4
-    first = a_vev(mu, u_order, cutoff)
-    second = a_vev(mu, u_order, cutoff + 2)
+    first, second = _at_two_cutoffs(lambda cut: a_vev(mu, u_order, cut), cutoff)
     if first != second:
         raise TruncationUnstable(
             f"A-correlator for {mu} unstable between cutoffs {cutoff} and {cutoff + 2}"
@@ -522,16 +527,28 @@ def _op_apply(op, vec: dict, u_order: int, top: int) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+_SEVERITY = ("pass", "inconclusive", "fail")
+
+
+def _worst_status(statuses) -> str:
+    """The worst of the statuses, fail > inconclusive > pass; pass if none."""
+    return max(statuses, key=_SEVERITY.index, default="pass")
+
+
 def a_commutator_suite(kmax: int = 3, u_order: int = 2, cutoff: int = 7) -> dict:
     """Check [A_k, A_l] = (-1)^l delta_{k+l-1} for all |k|, |l| <= kmax on
-    the test states (), (1,), (2, 1), coefficientwise in u, at two cutoffs,
-    sharing the two matrix builds (through z^kmax, the highest power read)
-    across pairs.  Each A_l v is applied once per test state, and A_k A_l v
-    and A_l A_k v once per unordered pair {k, l}, keeping only targets below
-    the band the comparison reads; [A_l, A_k] is the negation of [A_k, A_l].
-    A pair with no test state under the cutoff is inconclusive.
+    the test states (), (1,), (2, 1) under the cutoff, coefficientwise in u,
+    at two cutoffs, sharing the two matrix builds (through z^kmax, the
+    highest power read) across pairs.  Each A_l v is applied once per test
+    state, and A_k A_l v and A_l A_k v once per unordered pair {k, l},
+    keeping only targets below the band the comparison reads; [A_l, A_k] is
+    the negation of [A_k, A_l].  A u-coefficient fails where both cutoffs
+    agree on a wrong value and is inconclusive where they differ; a pair
+    with a test state above its band, or with none, is inconclusive.  A pair
+    takes the worst status of its checks (``_worst_status``).
     Returns {(k, l): "pass" | "fail" | "inconclusive"}."""
     ks = list(range(-kmax, kmax + 1))
+    states = [lam for lam in ((), (1,), (2, 1)) if energy(lam) <= cutoff]
 
     def band(k, l):
         # dropped intermediate states leave artifacts on a top energy band
@@ -541,13 +558,13 @@ def a_commutator_suite(kmax: int = 3, u_order: int = 2, cutoff: int = 7) -> dict
         return cutoff - max(abs(k), abs(l)) - 1
 
     def run_all(cut):
-        # compose with u-headroom: products against Laurent entries lose
-        # validity, so extract deeper than the comparison window
+        # {(k, l): {lam: {nu: [A_k, A_l] coefficient through u^u_order}}}
+        # for the test states under the band; compose with u-headroom:
+        # products against Laurent entries lose validity, so extract deeper
+        # than the comparison window
         u_work = u_order + cut + 2
-        matrix = a_symbolic_matrix(kmax, cut)
-        ops = a_k_operators(matrix, ks, u_work)
-        states = [lam for lam in ((), (1,), (2, 1)) if energy(lam) <= cut]
-        one = Series.const(Fraction(1), u_work)
+        ops = a_k_operators(a_symbolic_matrix(kmax, cut), ks, u_work)
+        one, zero = Series.const(Fraction(1), u_work), Series.zero(u_work)
         single = {
             (l, lam): _op_apply(ops[l], {lam: one}, u_work, cut) for l in ks for lam in states
         }
@@ -557,55 +574,33 @@ def a_commutator_suite(kmax: int = 3, u_order: int = 2, cutoff: int = 7) -> dict
                 top = band(k, l)  # the comparison reads no target above it
                 out[(k, l)], out[(l, k)] = {}, {}
                 for lam in states:
+                    if energy(lam) > top:
+                        continue
                     ab = _op_apply(ops[k], single[(l, lam)], u_work, top)
                     ba = ab if k == l else _op_apply(ops[l], single[(k, lam)], u_work, top)
-                    comm = dict(ab)
-                    for nu, c in ba.items():
-                        comm[nu] = comm.get(nu, Series.zero(u_work)) - c
-                    comm = {nu: c for nu, c in comm.items() if not c.is_zero()}
+                    comm = {nu: (ab.get(nu, zero) - ba.get(nu, zero)).truncate(u_order)
+                            for nu in ab.keys() | ba.keys()}
                     out[(k, l)][lam] = comm
                     out[(l, k)][lam] = {nu: -c for nu, c in comm.items()}
         return out
 
-    first = run_all(cutoff)
-    second = run_all(cutoff + 2)
-    statuses = {}
-    for k in ks:
-        for l in ks:
-            expected = Fraction((-1) ** l) if k + l == 1 else Fraction(0)
-            status = "pass" if first[(k, l)] else "inconclusive"  # compared nothing
-            for lam, a in first[(k, l)].items():
-                if energy(lam) > band(k, l):
-                    status = "inconclusive"
-                    continue
-                b = second[(k, l)].get(lam, {})
-                for nu in set(a) | set(b):
-                    if energy(nu) > band(k, l):
-                        continue
-                    ca = a.get(nu, Series.zero(u_order))
-                    cb = b.get(nu, Series.zero(u_order))
-                    lo = min(
-                        ca.low if not ca.is_zero() else 0,
-                        cb.low if not cb.is_zero() else 0,
-                    )
-                    for q in range(lo, u_order + 1):
-                        if ca.coeff(q) != cb.coeff(q):
-                            status = "inconclusive"
-                            break
-                        want = expected if (nu == lam and q == 0) else Fraction(0)
-                        if ca.coeff(q) != want:
-                            status = "fail"
-                            break
-                    if status == "fail":
-                        break
-                if expected != 0 and status == "pass":
-                    got = a.get(lam)
-                    if got is None or got.coeff(0) != expected:
-                        status = "fail"
-                if status == "fail":
-                    break
-            statuses[(k, l)] = status
-    return statuses
+    def verdicts(k, l, first, second):
+        if not first or len(first) < len(states):
+            yield "inconclusive"  # a test state above the band, or none at all
+        expected = Fraction((-1) ** l) if k + l == 1 else Fraction(0)
+        zero = Series.zero(u_order)
+        for lam, a in first.items():
+            b = second[lam]
+            for nu in a.keys() | b.keys() | {lam}:
+                ca, cb = a.get(nu, zero), b.get(nu, zero)
+                for q in range(min(ca.low, cb.low, 0), u_order + 1):
+                    got = ca.coeff(q)
+                    want = expected if (nu, q) == (lam, 0) else 0
+                    yield "inconclusive" if got != cb.coeff(q) else "fail" if got != want else "pass"
+
+    first, second = _at_two_cutoffs(run_all, cutoff)
+    return {(k, l): _worst_status(verdicts(k, l, first[(k, l)], second[(k, l)]))
+            for k in ks for l in ks}
 
 
 __all__ = [

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
+from .fock import _worst_status
 from .hurwitz import (
     HurwitzTable,
     ResourceGuardError,
@@ -64,12 +65,8 @@ def report_emit(campaign: str, parameters: dict, checks: list) -> dict:
 
 def report_status(report: dict) -> int:
     """0 if every check passed, 1 on any failure, 2 on inconclusive only."""
-    statuses = {row["status"] for row in report["checks"]}
-    if "fail" in statuses:
-        return 1
-    if "inconclusive" in statuses:
-        return 2
-    return 0
+    worst = _worst_status(row["status"] for row in report["checks"])
+    return {"pass": 0, "fail": 1, "inconclusive": 2}[worst]
 
 
 def resolve_cache_path(flag_value):
@@ -287,12 +284,7 @@ def campaign_fock(u_order: int = 1, kmax: int = 3, cutoff: int = 7) -> list:
         )
     )
     suite = a_commutator_suite(kmax=kmax, u_order=max(u_order, 2), cutoff=cutoff)
-    worst = "pass"
-    for status in suite.values():
-        if status == "fail":
-            worst = "fail"
-        elif status == "inconclusive" and worst == "pass":
-            worst = "inconclusive"
+    worst = _worst_status(suite.values())
     checks.append(
         check(
             f"commutators-kmax{kmax}",

@@ -90,11 +90,6 @@ def disconnected_by_b(mu: Partition, b: int) -> Fraction:
     return Fraction(total, factorial(sum(mu)) * prod(mu))
 
 
-def h_disconnected_char(g: int, mu) -> Fraction:
-    mu = check_partition(mu)
-    return disconnected_by_b(mu, branch_count(g, mu))
-
-
 # -- connected numbers via rooted inclusion-exclusion ----------------------------
 
 
@@ -519,7 +514,6 @@ __all__ = [
     "PolynomialityError",
     "branch_count",
     "disconnected_by_b",
-    "h_disconnected_char",
     "h_connected",
     "h_bruteforce",
     "cut_and_join_evolve",

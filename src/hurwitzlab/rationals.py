@@ -1,16 +1,13 @@
 """Exact rational scalars and elementary number-theoretic helpers.
 
 Every quantity in this package is an exact rational number; the scalar type
-is ``fractions.Fraction`` (re-exported as ``Rational``).  No floating point
-is used anywhere.
+is ``fractions.Fraction``.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-
-Rational = Fraction
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
@@ -78,7 +75,6 @@ def rational_from_str(s: str) -> Fraction:
 
 
 __all__ = [
-    "Rational",
     "Fraction",
     "factorial",
     "comb",

@@ -173,13 +173,6 @@ class Series:
             if isinstance(other, (int, Fraction)) and other == 0:
                 return Series.zero(self.order)
             return Series(self.low, [c * other for c in self.coeffs], self.order)
-        if self.is_zero() or other.is_zero():
-            cand0 = []
-            if self.order is not None:
-                cand0.append(self.order + other.low)
-            if other.order is not None:
-                cand0.append(other.order + self.low)
-            return Series(self.low + other.low, [], min(cand0) if cand0 else None)
         cand = []
         if self.order is not None:
             cand.append(self.order + other.low)
@@ -187,6 +180,8 @@ class Series:
             cand.append(other.order + self.low)
         order = min(cand) if cand else None
         low = self.low + other.low
+        if self.is_zero() or other.is_zero():
+            return Series(low, [], order)
         high = self.high + other.high
         if order is not None:
             high = min(high, order)

@@ -32,13 +32,12 @@ def test_package_imports_only_the_standard_library():
 
 # reference routes that only the tests compare against
 REFERENCE_ROUTES = {"e_operator_apply", "wk_from_potential", "kernel_alt_form",
-                    "f2_from_central_character"}
+                    "f2_from_central_character", "central_character_f2"}
 
 
 def _uses(path: Path) -> set:
     """Names that ``path`` imports or reads (as a name or an attribute),
-    outside the definition of the same name.  An import counts, so the names
-    that the package re-exports at its top level, its library API, are used."""
+    outside the definition of the same name.  An import counts."""
     found = set()
 
     def visit(node, inside):
@@ -66,7 +65,9 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     used = set()
     for folder in (package, root / "demos", root / "perfbench"):
         for path in folder.glob("*.py"):
-            used |= _uses(path)
+            # the package's top-level re-export is not a caller
+            if path != package / "__init__.py":
+                used |= _uses(path)
     modules = [hurwitzlab] + [
         importlib.import_module(f"hurwitzlab.{info.name}")
         for info in pkgutil.iter_modules(hurwitzlab.__path__)

@@ -4,6 +4,7 @@ import pytest
 
 from hurwitzlab.fock import (
     FockVector,
+    _worst_status,
     a_commutator_suite,
     a_connected,
     a_correlator,
@@ -354,20 +355,45 @@ def test_symbolic_matrix_is_a_truncation_of_a_deeper_one():
         assert biv == high[key].truncate(2), key
 
 
-def test_commutator_suite_fails_a_doubled_operator(monkeypatch):
-    # [2A_1, A_0] = 2 and [A_0, 2A_1] = -2: the negated pair and the band
-    # cut must not hide either failure
+def _double_a1(monkeypatch, at_u_order=None):
+    """Double A_1 in every run of the suite, or only in the run whose
+    a_k_operators call reads ``at_u_order``."""
     from hurwitzlab import fock
 
     real = fock.a_k_operators
 
     def doubled(matrix, ks, u_order):
         ops = real(matrix, ks, u_order)
-        ops[1] = {lam: {nu: c * 2 for nu, c in row.items()} for lam, row in ops[1].items()}
+        if at_u_order in (None, u_order):
+            ops[1] = {lam: {nu: c * 2 for nu, c in row.items()} for lam, row in ops[1].items()}
         return ops
 
     monkeypatch.setattr(fock, "a_k_operators", doubled)
+
+
+def test_commutator_suite_fails_a_doubled_operator(monkeypatch):
+    # [2A_1, A_0] = 2 and [A_0, 2A_1] = -2: the negated pair and the band
+    # cut must not hide either failure
+    _double_a1(monkeypatch)
     r = a_commutator_suite(1, 2, 6)
     assert len(r) == 9
     assert {p for p, s in r.items() if s != "pass"} == {(1, 0), (0, 1)}, r
     assert r[(1, 0)] == r[(0, 1)] == "fail", r
+
+
+def test_commutator_suite_pair_whose_cutoffs_disagree_is_inconclusive(monkeypatch):
+    # the run at cutoff 6 + 2 extracts its operators through u^(2 + 8 + 2):
+    # doubling A_1 there alone leaves the two cutoffs disagreeing on
+    # [A_1, A_0] and [A_0, A_1], which decides nothing
+    _double_a1(monkeypatch, at_u_order=12)
+    r = a_commutator_suite(1, 2, 6)
+    assert len(r) == 9
+    assert {p for p, s in r.items() if s != "pass"} == {(1, 0), (0, 1)}, r
+    assert r[(1, 0)] == r[(0, 1)] == "inconclusive", r
+
+
+def test_worst_status_ranks_fail_over_inconclusive_over_pass():
+    assert _worst_status({"pass"}) == "pass"
+    assert _worst_status({"pass", "inconclusive"}) == "inconclusive"
+    assert _worst_status({"inconclusive", "fail"}) == "fail"
+    assert _worst_status(set()) == "pass"

@@ -14,7 +14,6 @@ from hurwitzlab.hurwitz import (
     h_bruteforce,
     h_connected,
     h_connected_cutjoin,
-    h_disconnected_char,
     hurwitz_scaled_value,
 )
 from hurwitzlab.partitions import enumerate_partitions
@@ -26,9 +25,9 @@ def test_branch_count():
 
 
 def test_disconnected_character_values():
-    assert h_disconnected_char(0, (1, 1, 1)) == 27
-    assert h_disconnected_char(1, (2,)) == Fraction(1, 2)
-    assert h_disconnected_char(0, (1,)) == 1
+    assert disconnected_by_b((1, 1, 1), branch_count(0, (1, 1, 1))) == 27
+    assert disconnected_by_b((2,), branch_count(1, (2,))) == Fraction(1, 2)
+    assert disconnected_by_b((1,), branch_count(0, (1,))) == 1
     # b = 0 identity cover for every degree
     for d in range(1, 7):
         mu = (1,) * d
