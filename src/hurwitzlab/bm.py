@@ -64,32 +64,21 @@ def d1d2_h02_diagonal() -> MultiPoly:
 # -- evaluation helpers for the residue forms -----------------------------------------
 
 
-def _pow_tables(s: Series, maxp: int, order: int):
-    """(s^p)_{p=0..maxp} and (s^{-p})_{p=0..maxp} at working order."""
-    pos = [Series.const(Fraction(1), order)]
-    for _ in range(maxp):
-        pos.append((pos[-1] * s).truncate(order))
-    inv = s.reciprocal(order)
-    neg = [Series.const(Fraction(1), order)]
-    for _ in range(maxp):
-        neg.append(neg[-1] * inv)
-    return pos, neg
-
-
-def _eval_w_one_series(w: MultiPoly, inv_pows, tvars, nvars) -> Series:
-    """W(1/s, t_{tvars}) as a z-series with n-variable polynomial coefficients."""
-    acc = Series.zero(inv_pows[0].order)
+def _eval_w_one_series(w: MultiPoly, pows, tvars, nvars) -> Series:
+    """W(1/s, t_{tvars}) as a z-series with n-variable polynomial coefficients,
+    reading 1/s^p from the power table at key -p."""
+    acc = Series.zero(pows[0].order)
     mapping = [0] + list(tvars)  # slot 0 unused after extraction
     for p, coef in enumerate(w.as_poly_in(0)):
         if coef.is_zero():
             continue
-        acc = acc + inv_pows[p] * coef.embed(nvars, mapping)
+        acc = acc + pows[-p] * coef.embed(nvars, mapping)
     return acc
 
 
-def _eval_w_two_series(w: MultiPoly, inv1, inv2, tvars, nvars) -> Series:
+def _eval_w_two_series(w: MultiPoly, pows1, pows2, tvars, nvars) -> Series:
     """W(1/s1, 1/s2, t_{tvars}) with both first slots evaluated."""
-    acc = Series.zero(inv1[0].order)
+    acc = Series.zero(pows1[0].order)
     mapping = [0, 0] + list(tvars)
     for p, cp in enumerate(w.as_poly_in(0)):
         if cp.is_zero():
@@ -97,19 +86,19 @@ def _eval_w_two_series(w: MultiPoly, inv1, inv2, tvars, nvars) -> Series:
         for q, cq in enumerate(cp.as_poly_in(1)):
             if cq.is_zero():
                 continue
-            acc = acc + (inv1[p] * inv2[q]) * cq.embed(nvars, mapping)
+            acc = acc + (pows1[-p] * pows2[-q]) * cq.embed(nvars, mapping)
     return acc
 
 
-def _w02_one_series(s_pows, j: int, nvars: int, order: int) -> Series:
+def _w02_one_series(pows, j: int, nvars: int, order: int) -> Series:
     """W_{0,2}(1/s, t_j) = (1+s) t_j^2 (t_j+1) / (s (1 - s t_j)^2)."""
     tj = MultiPoly.var(nvars, j)
-    top = min(order, len(s_pows) - 1)
+    top = min(order, max(pows))
     geo = Series.zero(top)
     for k in range(top + 1):
-        geo = geo + s_pows[k] * ((k + 1) * tj**k)
+        geo = geo + pows[k] * ((k + 1) * tj**k)
     pref = tj**2 * (tj + 1)
-    s = s_pows[1]
+    s = pows[1]
     inv_s = s.reciprocal(order)
     return (1 + s) * inv_s * geo * pref
 
@@ -121,14 +110,14 @@ def _w02_two_series(s1: Series, s2: Series, order: int) -> Series:
     return num * den.reciprocal(order)
 
 
-def _diag_series(neg_pows, order: int) -> Series:
+def _diag_series(pows, order: int) -> Series:
     """The regularized diagonal evaluated at t = 1/s."""
     diag = d1d2_h02_diagonal()
     acc = Series.zero(order)
     for a in range(diag.degree(0) + 1):
         c = diag.coeff((a,))
         if c:
-            acc = acc + neg_pows[a] * c
+            acc = acc + pows[-a] * c
     return acc
 
 
@@ -142,12 +131,12 @@ def _splits(g: int, rest: tuple):
             yield g1, A, g - g1, B
 
 
-def _w_factor_series(g1: int, nargs_vars: tuple, s_pows, s_neg, nvars, order):
+def _w_factor_series(g1: int, nargs_vars: tuple, pows, nvars, order):
     """W_{g1, 1+|vars|}(1/s, t_vars) for a split factor."""
     k = len(nargs_vars)
     if (g1, k + 1) == (0, 2):
-        return _w02_one_series(s_pows, nargs_vars[0], nvars, order)
-    return _eval_w_one_series(w_poly(g1, k + 1), s_neg, nargs_vars, nvars)
+        return _w02_one_series(pows, nargs_vars[0], nvars, order)
+    return _eval_w_one_series(w_poly(g1, k + 1), pows, nargs_vars, nvars)
 
 
 def _w_tilde_series(g: int, n: int, mode: str, order: int):
@@ -158,9 +147,10 @@ def _w_tilde_series(g: int, n: int, mode: str, order: int):
     s1 = z if mode in ("zz", "zs") else sig
     s2 = sig if mode in ("zs", "ss") else (z if mode == "zz" else sig)
     # every ingredient has per-variable degree below the (g, n) bound
-    maxdeg = 6 * g + 2 * n - 3
-    p1_pos, p1_neg = _pow_tables(s1, maxdeg + 2, order)
-    p2_pos, p2_neg = _pow_tables(s2, maxdeg + 2, order)
+    # 6g + 2n - 3; the tables run two powers past it
+    maxp = 6 * g + 2 * n - 1
+    pows1 = s1.powers(-maxp, maxp, order)
+    pows2 = s2.powers(-maxp, maxp, order)
     rest = tuple(range(1, n))
     acc = Series.zero(order)
     # the (g-1, n+1) term
@@ -170,17 +160,17 @@ def _w_tilde_series(g: int, n: int, mode: str, order: int):
             if mode == "zs":
                 acc = acc + _w02_two_series(s1, s2, order)
             else:
-                acc = acc + _diag_series(p1_neg, order)
+                acc = acc + _diag_series(pows1, order)
         else:
-            acc = acc + _eval_w_two_series(w_poly(gm, nm), p1_neg, p2_neg, rest, nvars)
+            acc = acc + _eval_w_two_series(w_poly(gm, nm), pows1, pows2, rest, nvars)
     # the genus/variable splits; prune zero factors before evaluating so the
     # formally-included unknown (paired with the vanishing one-point term)
     # is never computed
     for g1, A, g2, B in _splits(g, rest):
         if (g1, len(A) + 1) == (0, 1) or (g2, len(B) + 1) == (0, 1):
             continue
-        f1 = _w_factor_series(g1, A, p1_pos, p1_neg, nvars, order)
-        f2 = _w_factor_series(g2, B, p2_pos, p2_neg, nvars, order)
+        f1 = _w_factor_series(g1, A, pows1, nvars, order)
+        f2 = _w_factor_series(g2, B, pows2, nvars, order)
         acc = acc + f1 * f2
     return acc
 

@@ -25,7 +25,7 @@ from math import factorial
 from .hurwitz import branch_count, connected_from_disconnected
 from .partitions import Partition, check_partition
 from .rationals import pochhammer
-from .series import Series, is_zero_coeff, zeta_series
+from .series import Series, exp_series, is_zero_coeff, zeta_series
 
 # -- Maya-level bookkeeping (doubled half-integer levels) ------------------------
 
@@ -237,10 +237,6 @@ def _x_to_u(xser: Series, m: int, u_order: int) -> Series:
     return Series(xser.low, coeffs, order)
 
 
-def _exp_rate_series(rate: Fraction, order: int) -> Series:
-    return Series(0, [rate**p / factorial(p) for p in range(order + 1)], order)
-
-
 def _a_row(lam: Partition, coeff: dict, lift, reads: dict, cutoff: int, memo: dict) -> dict:
     """Row lam of sum_k coeff[k] E_k(x), each E_k(x) entry lifted by ``lift``.
 
@@ -263,7 +259,7 @@ def _a_row(lam: Partition, coeff: dict, lift, reads: dict, cutoff: int, memo: di
         for nu, sign, rate in _e_moves(lam, k):
             entry = memo.get((k, rate))
             if entry is None:
-                entry = memo[(k, rate)] = ck * lift(_exp_rate_series(rate, reads[k]))
+                entry = memo[(k, rate)] = ck * lift(exp_series(reads[k], rate))
             row[nu] = entry * sign
     return row
 
@@ -283,13 +279,8 @@ def apply_a_integer(m: int, v: FockVector, work_order: int) -> FockVector:
         0, [zeta_u.coeff(k + 1) * Fraction(1, m) for k in range(0, w + 1)], w
     )
     pref = zeta_over_um**m
-    inv_zeta_u = zeta_u.reciprocal()
-    zpows: dict[int, Series] = {0: Series.const(Fraction(1), w)}
     # a row of lam visits only k <= |lam|
-    for k in range(1, min(v.cutoff, max(map(energy, v.coeffs), default=0)) + 1):
-        zpows[k] = (zpows[k - 1] * zeta_u).truncate(w)
-    for k in range(-1, -m - 1, -1):
-        zpows[k] = zpows[k + 1] * inv_zeta_u
+    zpows = zeta_u.powers(-m, min(v.cutoff, max(map(energy, v.coeffs), default=0)), w)
     coeff = {k: pref * zk * (Fraction(1) / pochhammer(m, k)) for k, zk in zpows.items()}
     reads, memo = dict.fromkeys(coeff, w), {}
     out = FockVector({}, v.cutoff, v.truncated)
@@ -315,7 +306,7 @@ def _diagonal_e0_x(lam: Partition, order: int) -> Series:
     for i, a in enumerate(lam):
         top = Fraction(2 * a - 2 * i - 1, 2)
         bot = Fraction(-2 * i - 1, 2)
-        acc = acc + (_exp_rate_series(top, order) - _exp_rate_series(bot, order))
+        acc = acc + (exp_series(order, top) - exp_series(order, bot))
     return acc
 
 
@@ -469,15 +460,8 @@ def a_symbolic_matrix(z_order: int, cutoff: int):
     # prefactor exp(z log(zeta(uz)/uz))
     log_unit = Series(0, zx.coeffs, zx.order - 1).log()  # log(zeta(x)/x)
     pref = _biv_from_x(log_unit, zwork).shift(1).exp()
-    zeta_biv = _biv_from_x(zx, zwork)
-    inv_zeta_biv = zeta_biv.reciprocal(zwork)
-    zpows = {0: Series.const(Series.const(Fraction(1), None), zwork)}
-    for k in range(1, cutoff + 1):
-        zpows[k] = (zpows[k - 1] * zeta_biv).truncate(zwork)
-    for k in range(-1, -cutoff - 1, -1):
-        zpows[k] = (zpows[k + 1] * inv_zeta_biv).truncate(zwork)
     coeff = {}
-    for k, zk in zpows.items():
+    for k, zk in _biv_from_x(zx, zwork).powers(-cutoff, cutoff, zwork).items():
         # an E_k(x) entry starts at x^-1 or later, so z^(z_order+1) of
         # coeff[k] is the last power that reaches z^z_order of a row product
         coeff[k] = (pref * zk * _inv_pochhammer_z(k, zwork)).truncate(z_order + 1)

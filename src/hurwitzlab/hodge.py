@@ -21,7 +21,7 @@ from math import factorial, prod
 
 from .lambert import root_coordinate
 from .multipoly import MultiPoly, RatFn
-from .rationals import bernoulli, double_factorial
+from .rationals import double_factorial
 from .series import Series, bernoulli_exponent_series
 
 
@@ -272,10 +272,8 @@ def hodge_potential(gcap: int = 2, ncap: int = 8, kcap: int = 8) -> dict:
         ni = ncap + 2 * gcap
         ki = kcap + 2 * gcap
         base = kw_potential(gcap, ni, ki)
-        r = {
-            2 * n - 1: bernoulli(2 * n) / (2 * n * (2 * n - 1))
-            for n in range(1, gcap + 2)
-        }
+        b = bernoulli_exponent_series(2 * gcap + 1)
+        r = {j: c for j, c in enumerate(b.coeffs, b.low) if c}
         image = givental_apply(base, r, gcap, ni, ki)
         _HODGE_CACHE[key] = {
             (g, mono): c

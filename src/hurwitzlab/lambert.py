@@ -84,8 +84,7 @@ def eta_series(order: int) -> Series:
 @lru_cache(maxsize=None)
 def y_of_x(order: int) -> Series:
     """Functional inverse of x = y e^{-y}: sum_m m^{m-1}/m! x^m."""
-    y = Series.x(order)
-    x_of_y = y * exp_series(order).compose(-y)
+    x_of_y = Series.x(order) * exp_series(order, -1)
     return x_of_y.reverse()
 
 
@@ -101,9 +100,7 @@ def x_expand(poly: MultiPoly, x_order: int) -> dict:
     n = poly.nvars
     tx = t_of_x(x_order)
     maxdeg = max((poly.degree(i) for i in range(n)), default=0)
-    tpows = [Series.const(Fraction(1), x_order)]
-    for _ in range(maxdeg):
-        tpows.append((tpows[-1] * tx).truncate(x_order))
+    tpows = tx.powers(0, maxdeg, x_order)
 
     def rec(p: MultiPoly, i: int) -> dict:
         if i == n:
@@ -184,16 +181,7 @@ def lemma2_check(k_max: int, order: int) -> dict:
 def _geometric_kernel(s: Series, t: MultiPoly, order: int) -> Series:
     """1/(1 - s t) = sum_k s^k t^k through z^order, collected by z-power
     into polynomial coefficients in t."""
-    coeffs = [MultiPoly.const(t.nvars, 1)] + [MultiPoly.zero(t.nvars)] * order
-    spow = Series.const(Fraction(1), order)
-    for k in range(1, order + 1):
-        spow = (spow * s).truncate(order)
-        if spow.is_zero():
-            break
-        tk = t**k
-        for j in range(max(spow.low, 0), spow.high + 1):
-            coeffs[j] = coeffs[j] + spow.coeff(j) * tk
-    return Series(0, coeffs, order)
+    return Series(0, [t**k for k in range(order + 1)], order).compose(s).truncate(order)
 
 
 def kernel_K(order: int, nvars: int = 1) -> Series:

@@ -3,7 +3,7 @@ central character.
 
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 partition is ``()``.  Characters come by two Murnaghan-Nakayama routes:
-``mn_character`` removes border strips from lam (with a global memo table);
+``mn_character`` removes border strips from lam (memoised per (lam, mu));
 ``_character_column`` adds them to the empty partition and builds only the
 nonzero entries of a whole column {lam: chi^lam(mu)}.
 """
@@ -91,9 +91,6 @@ def _border_strips(lam: Partition, size: int):
         yield newlam, height
 
 
-_MN_MEMO: dict[tuple[Partition, Partition], int] = {}
-
-
 def mn_character(lam, mu) -> int:
     """Irreducible character chi^lam at class mu via border-strip removal."""
     lam = check_partition(lam) if lam else ()
@@ -103,18 +100,14 @@ def mn_character(lam, mu) -> int:
     return _mn(lam, tuple(sorted(mu, reverse=True)))
 
 
+@lru_cache(maxsize=None)
 def _mn(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1
-    key = (lam, mu)
-    val = _MN_MEMO.get(key)
-    if val is not None:
-        return val
     part, rest = mu[0], mu[1:]
     total = 0
     for newlam, height in _border_strips(lam, part):
         total += (-1) ** height * _mn(newlam, rest)
-    _MN_MEMO[key] = total
     return total
 
 

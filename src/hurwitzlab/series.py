@@ -4,8 +4,9 @@ A :class:`Series` stores coefficients for exponents ``low .. order`` together
 with the validity order: coefficients above ``order`` are *unknown*, and
 asking for them raises instead of silently returning garbage.  ``order=None``
 marks an exact (polynomial/Laurent-polynomial) series.  Arithmetic propagates
-the minimal valid order of its inputs; composition, reciprocal and friends
-use the standard conservative rules.
+the minimal valid order of its inputs.  ``compose`` is the one substitution:
+``exp``, ``log`` and the unit part of ``reciprocal`` substitute into the stock
+series below, and ``powers`` builds every table of truncated powers.
 
 Coefficients may be Fractions, ints, or any ring-like object supporting
 ``+``, ``-``, ``*`` with itself and with ints (e.g. MultiPoly, or another
@@ -225,9 +226,20 @@ class Series:
 
     def truncate(self, order):
         """Restrict the validity order (never extends it)."""
-        if self.order is not None and order is not None and order > self.order:
-            order = self.order
-        return Series(self.low, list(self.coeffs), order)
+        return Series(self.low, list(self.coeffs), _min_order(self.order, order))
+
+    def powers(self, lo: int, hi: int, order):
+        """{k: self^k through z^order} for lo <= k <= hi: each power is the one
+        next to it towards k = 0 times self, or times 1/self for k < 0.  With
+        ``order=None`` each power keeps the order its factors give."""
+        pows = {0: Series.const(Fraction(1), order)}
+        for k in range(1, hi + 1):
+            pows[k] = (pows[k - 1] * self).truncate(order)
+        if lo < 0:
+            inv = self.reciprocal(order)
+            for k in range(-1, lo - 1, -1):
+                pows[k] = (pows[k + 1] * inv).truncate(order)
+        return {k: p for k, p in pows.items() if lo <= k <= hi}
 
     def differentiate(self):
         out = []
@@ -255,105 +267,71 @@ class Series:
             if len(self.coeffs) == 1:
                 return Series(-v, [_inv_coeff(self.coeffs[0])], None)
             raise ValueError("reciprocal of an exact series needs an explicit order")
-        c0 = self.coeffs[0]
-        inv0 = _inv_coeff(c0)
+        inv0 = _inv_coeff(self.coeffs[0])
         # u = f / (c0 z^v) - 1 has positive valuation
         rel = order + v  # we need 1/f through z^order, i.e. unit part through order+v
         u_coeffs = [c * inv0 for c in self.coeffs[1:]]
         u = Series(1, u_coeffs, None if self.order is None else self.order - v)
-        geom = Series.const(Fraction(1), rel)
-        term = Series.const(Fraction(1), rel)
-        k = 0
-        while True:
-            k += 1
-            vu = u.valuation()
-            if vu is None or k * vu > rel:
-                break
-            term = (term * (-u)).truncate(rel)
-            geom = geom + term
+        geom = geometric_series(max(rel, 0) // u.low).compose(-u)  # rel < 0 reads none
         return Series(-v, [c * inv0 for c in geom.coeffs], order)
 
     def compose(self, g: "Series"):
-        """f(g) for g with positive valuation (no constant term)."""
+        """f(g) for g with positive valuation (no constant term).
+
+        Each power of g is built only through the last order f(g) can claim:
+        the unknown coefficients of f enter at g^(f.order + 1), and the first
+        power of g that f reads past z^0 bounds the rest.  The powers of 1/g
+        are read further by the headroom the deepest one loses."""
         if not g.is_zero() and g.low < 1:
             raise ValueError("compose: inner series must have zero constant term")
+        if g.is_zero():
+            # g = O(z^(g.order + 1)): f(g) is the constant term of f, and a
+            # pole of f, stored or possible below a zero f's order, has no value
+            pole = self.low < 0 if self.coeffs else self.order is not None and self.order < -1
+            if pole:
+                raise ZeroDivisionError("compose: Laurent series at a zero inner series")
+            if self.coeffs:
+                return Series.const(self.coeff(0), g.order)
         if self.is_zero():
             if self.order is None:
                 return Series.zero(None)
             glow = g.low if not g.is_zero() else 1
             return Series(self.low * glow, [], (self.order + 1) * glow - 1)
-        acc = Series.zero(None)
-        if g.is_zero():
-            # f(0): only the constant term survives, and it is exactly known
-            c = self.coeffs[0 - self.low] if self.low <= 0 <= self.high else Fraction(0)
-            return Series.const(c, None)
-
-        def stored(k):
-            if self.low <= k <= self.high:
-                return self.coeffs[k - self.low]
-            return 0
-
-        if self.low <= 0 <= self.high:
-            acc = acc + Series.const(self.coeffs[0 - self.low], None)
-        gpow = None
-        for k in range(1, self.high + 1):
-            gpow = g if gpow is None else gpow * g
-            c = stored(k)
-            if not is_zero_coeff(c):
-                acc = acc + gpow * c
+        terms = [(k, c) for k, c in enumerate(self.coeffs, self.low) if not is_zero_coeff(c)]
+        cut = None if self.order is None else (self.order + 1) * g.low - 1
+        first = next((k for k, _ in terms if k > 0), None)
+        pos_cut = cut
+        if first is not None and g.order is not None:
+            pos_cut = _min_order(cut, g.order + (first - 1) * g.low)
+        pows = g.powers(0, self.high, pos_cut)
         if self.low < 0:
-            # a finite f.order fixes how far 1/g is read: the cut below plus
-            # the headroom g^(-k) loses for k up to -f.low
-            ginv = g.reciprocal(None if self.order is None else (self.order - self.low) * g.low - 1)
-            p = Series.const(Fraction(1), None)
-            for k in range(1, -self.low + 1):
-                p = p * ginv
-                c = stored(-k)
-                if not is_zero_coeff(c):
-                    acc = acc + p * c
-        # error from unknown f-coefficients beyond f.order enters at g^{order+1}
-        if self.order is not None:
-            acc = acc.truncate((self.order + 1) * g.low - 1)
-        return acc
+            pows.update(g.powers(self.low, -1, None if cut is None else cut - self.low * g.low))
+        acc = Series.zero(None)
+        for k, c in terms:
+            # the geometric series' unit coefficients need no product
+            unit = isinstance(c, (int, Fraction)) and c == 1
+            acc = acc + (pows[k] if unit else pows[k] * c)
+        return acc.truncate(cut)
 
     def exp(self):
         """exp(f) for f with positive valuation.  A nonzero f needs a finite
         order: exp(f) is then an infinite series."""
         if not self.is_zero() and self.low < 1:
             raise ValueError("exp: series must have zero constant term")
-        order = self.order
-        acc = Series.const(Fraction(1), order)
         if self.is_zero():
-            return acc
-        if order is None:
+            return Series.const(Fraction(1), self.order)
+        if self.order is None:
             raise ValueError("exp of an exact series needs a finite order")
-        term = Series.const(Fraction(1), order)
-        k = 1
-        while k * self.low <= order:
-            term = ((term * self) * Fraction(1, k)).truncate(order)
-            acc = acc + term
-            k += 1
-        return acc
+        return exp_series(self.order // self.low).compose(self)
 
     def log(self):
         """log(f) for f with constant term 1."""
         if self.low != 0 or self.coeffs[0] != 1:
             raise ValueError("log: series must have constant term 1")
-        u = Series(self.low, list(self.coeffs), self.order) - 1
-        order = self.order
-        if order is None:
+        u = self - 1
+        if self.order is None:
             raise ValueError("log of an exact series needs a finite order")
-        acc = Series.zero(order)
-        term = Series.const(Fraction(-1), order)
-        k = 0
-        while True:
-            k += 1
-            vu = u.valuation()
-            if vu is None or k * vu > order:
-                break
-            term = (term * (-u)).truncate(order)
-            acc = acc + term * Fraction(1, k)
-        return acc
+        return log1p_series(self.order // max(u.low, 1)).compose(u)
 
     def sqrt_unit(self):
         """sqrt(f) for f with constant term 1 (principal branch)."""
@@ -384,8 +362,15 @@ class Series:
 # -- stock series -------------------------------------------------------------
 
 
-def exp_series(order: int) -> Series:
-    return Series(0, [Fraction(1, factorial(k)) for k in range(order + 1)], order)
+def exp_series(order: int, rate=1) -> Series:
+    """e^(rate z) through z^order."""
+    rate = Fraction(rate)
+    return Series(0, [rate**k / factorial(k) for k in range(order + 1)], order)
+
+
+def geometric_series(order: int) -> Series:
+    """1/(1 - z) through z^order."""
+    return Series(0, [Fraction(1)] * (order + 1), order)
 
 
 def log1p_series(order: int) -> Series:
@@ -421,6 +406,7 @@ __all__ = [
     "Series",
     "is_zero_coeff",
     "exp_series",
+    "geometric_series",
     "log1p_series",
     "zeta_series",
     "bernoulli_exponent_series",

@@ -264,13 +264,51 @@ def test_pow_ignores_coefficients_past_the_order(low, a, ta, n):
 )
 @settings(max_examples=80, deadline=None)
 def test_compose_ignores_coefficients_past_either_order(la, a, ta, lb, b, tb, g_exact):
-    b[0] = b[0] or 1
     f, f_full = _known_and_completed(la, a, ta)
     if g_exact:
         g = g_full = Series(lb, [Fraction(c) for c in b], None)
     else:
         g, g_full = _known_and_completed(lb, b, tb)
+    if g.is_zero() and (f.low < 0 if not f.is_zero() else f.order < -1):
+        with pytest.raises(ZeroDivisionError):
+            f.compose(g)
+        return
     _agree_where_claimed(f.compose(g), f_full.compose(g_full))
+
+
+def test_compose_at_a_zero_inner_series():
+    # f(O(z^4)) is f(0) + O(z^4), and 1/g has no value at g = 0
+    assert Series(0, [1, 1], None).compose(Series.zero(3)) == Series.const(1, 3)
+    assert Series(0, [1, 1], None).compose(Series.zero(None)) == Series.const(1, None)
+    with pytest.raises(ZeroDivisionError):
+        Series(-1, [1], None).compose(Series.zero(3))
+
+
+def test_truncate_never_extends_the_order():
+    assert Series(0, [1, 2], 1).truncate(None).order == 1
+    assert Series(0, [1, 2], 1).truncate(5).order == 1
+    assert Series(0, [1, 2], None).truncate(0) == Series.const(1, 0)
+
+
+@given(
+    st.integers(-2, 2), _coeffs,
+    st.integers(-3, 0), st.integers(0, 3), st.one_of(st.none(), st.integers(-3, 8)),
+)
+@settings(max_examples=80, deadline=None)
+def test_powers_agree_with_pow_where_claimed(low, a, lo, hi, order):
+    a[0] = a[0] or 1
+    f = Series(low, [Fraction(c) for c in a], low + len(a) - 1)
+    pows = f.powers(lo, hi, order)
+    assert sorted(pows) == list(range(lo, hi + 1))
+    for k, p in pows.items():
+        assert order is None or p.order <= order
+        _agree_where_claimed(p, f**k)
+
+
+def test_exp_series_at_a_rate():
+    z = Series.x(6)
+    assert exp_series(6, -1) == exp_series(6).compose(-z)
+    assert exp_series(6, Fraction(3, 2)) == exp_series(6).compose(z * Fraction(3, 2))
 
 
 @given(st.integers(1, 2), _coeffs, _tail)
