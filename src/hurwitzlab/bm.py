@@ -23,6 +23,7 @@ from math import factorial
 from .hurwitz import branch_count, fit_P_polynomial, h_connected
 from .lambert import apply_D, kernel_K, odd_projection, rho_poly, sigma_z, x_expand
 from .multipoly import MultiPoly, divexact_linear_diff
+from .partitions import _splits
 from .series import Series
 
 
@@ -121,16 +122,6 @@ def _diag_series(pows, order: int) -> Series:
     return acc
 
 
-def _splits(g: int, rest: tuple):
-    """(g1, A, g2, B) over genus splits and ordered subset splits of rest."""
-    n_rest = len(rest)
-    for mask in range(1 << n_rest):
-        A = tuple(rest[i] for i in range(n_rest) if mask >> i & 1)
-        B = tuple(rest[i] for i in range(n_rest) if not mask >> i & 1)
-        for g1 in range(g + 1):
-            yield g1, A, g - g1, B
-
-
 def _w_factor_series(g1: int, nargs_vars: tuple, pows, nvars, order):
     """W_{g1, 1+|vars|}(1/s, t_vars) for a split factor."""
     k = len(nargs_vars)
@@ -145,12 +136,12 @@ def _w_tilde_series(g: int, n: int, mode: str, order: int):
     sig = sigma_z(order + 2)
     z = Series.x(None)
     s1 = z if mode in ("zz", "zs") else sig
-    s2 = sig if mode in ("zs", "ss") else (z if mode == "zz" else sig)
+    s2 = z if mode == "zz" else sig
     # every ingredient has per-variable degree below the (g, n) bound
     # 6g + 2n - 3; the tables run two powers past it
     maxp = 6 * g + 2 * n - 1
     pows1 = s1.powers(-maxp, maxp, order)
-    pows2 = s2.powers(-maxp, maxp, order)
+    pows2 = pows1 if s2 is s1 else s2.powers(-maxp, maxp, order)
     rest = tuple(range(1, n))
     acc = Series.zero(order)
     # the (g-1, n+1) term

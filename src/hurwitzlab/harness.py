@@ -133,18 +133,22 @@ def campaign_hurwitz(g: int, mu, table: HurwitzTable | None = None) -> list:
     val = h_connected(g, mu)
     table.insert(g, mu, val, "character")
     name = f"h-connected-g{g}-mu{list(mu)}"
+    # a second route's value enters the table only when it agrees, so a
+    # disagreement is a fail row rather than a table conflict
     try:
         other = h_connected_cutjoin(g, mu)
-        table.insert(g, mu, other, "cutjoin")
         checks.append(check(name, "character route vs cut-and-join table", val, other))
+        if other == val:
+            table.insert(g, mu, other, "cutjoin")
     except ResourceGuardError:
         checks.append(check(name, "cut-and-join table ends at d = 10, b = 16", val,
                             "not computed", status="inconclusive"))
     d, b = sum(mu), branch_count(g, mu)
     if d <= 6 and b <= 8:
         brute = h_bruteforce(g, mu)
-        table.insert(g, mu, brute, "brute")
         checks.append(check(f"route-brute-g{g}-mu{list(mu)}", "monodromy count", brute, val))
+        if brute == val:
+            table.insert(g, mu, brute, "brute")
     return checks
 
 

@@ -10,7 +10,11 @@ Potentials are sparse dicts {(h, mono): Fraction} where mono is a sorted
 tuple of indices and the coefficient is the literal monomial coefficient
 (symmetry factors 1/prod(mult!) absorbed).  The grading identity
 sum(mono) = 3h + len(mono) - defect bounds every computation; all caps are
-enforced during the operator exponential.
+enforced during the operator exponential.  The exponential is the Taylor
+series of a flow.  Each Taylor term's first partials are built once, grouped
+by grade (g, n, 3g + n - sum(mono)), and read by every piece of the flow; a
+product of two partials is formed only when the sums of their grades stay
+under the caps.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from math import factorial, prod
 
 from .lambert import root_coordinate
 from .multipoly import MultiPoly, RatFn
+from .partitions import _splits
 from .rationals import double_factorial
 from .series import Series, bernoulli_exponent_series
 
@@ -64,15 +69,8 @@ def wk_correlator(g: int, ds: tuple) -> Fraction:
         b = k - 1 - a
         w = double_factorial(2 * a + 1) * double_factorial(2 * b + 1)
         half_sum += w * wk_correlator(g - 1, (a, b) + rest)
-        for mask in range(1 << len(rest)):
-            I = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-            J = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
-            for g1 in range(0, g + 1):
-                half_sum += (
-                    w
-                    * wk_correlator(g1, (a,) + I)
-                    * wk_correlator(g - g1, (b,) + J)
-                )
+        for g1, I, g2, J in _splits(g, rest):
+            half_sum += w * wk_correlator(g1, (a,) + I) * wk_correlator(g2, (b,) + J)
     total += half_sum * Fraction(1, 2)
     return total / double_factorial(2 * k + 3)
 
@@ -100,7 +98,7 @@ def _monomials(total: int, n: int, kcap: int):
             yield (first,) + rest
 
 
-def kw_potential(gcap: int = 2, ncap: int = 8, kcap: int = 8) -> dict:
+def kw_potential(gcap: int, ncap: int, kcap: int) -> dict:
     """Truncated psi-class potential {(g, mono): coefficient}."""
     out: dict = {}
     for g in range(gcap + 1):
@@ -117,12 +115,40 @@ def kw_potential(gcap: int = 2, ncap: int = 8, kcap: int = 8) -> dict:
     return out
 
 
-def _entry_defect(g: int, mono: tuple) -> int:
-    """Codimension of the omitted tautological class: 3g - 3 + n - sum(k)."""
-    return 3 * g - 3 + len(mono) - sum(mono)
+_ZERO = Fraction(0)
 
 
-def givental_apply(potential: dict, r_coeffs, gcap: int = 2, ncap: int = 8, kcap: int = 8) -> dict:
+def _add(out: dict, key, val) -> None:
+    """out[key] += val, dropping the key when the sum cancels."""
+    cur = out.get(key, _ZERO) + val
+    if cur:
+        out[key] = cur
+    else:
+        out.pop(key, None)
+
+
+def _partials(entries) -> dict:
+    """{a: {grade: [((g, mono'), c * mult)]}}: each first partial d/dt_a of the
+    entries ((g, mono), c), the multiplicity of t_a absorbed, grouped by the
+    grade (g, n, 3g + n - sum(mono')) of the derivative entry."""
+    table: dict = {}
+    for (g, mono), c in entries:
+        base = 3 * g + len(mono) - 1 - sum(mono)
+        for a in dict.fromkeys(mono):
+            i = mono.index(a)
+            rest = mono[:i] + mono[i + 1 :]
+            grade = (g, len(rest), base + a)
+            table.setdefault(a, {}).setdefault(grade, []).append(((g, rest), c * mono.count(a)))
+    return table
+
+
+def _entries(buckets: dict):
+    """The ((g, mono'), c) items of one partial, across its grades."""
+    for bucket in buckets.values():
+        yield from bucket
+
+
+def givental_apply(potential: dict, r_coeffs, gcap: int, ncap: int, kcap: int) -> dict:
     """Act with exp(sum_j r_j zhat_{2j-1}) on exp(F/hbar); returns hbar log.
 
     Implemented as the flow of the induced field on the free energy itself,
@@ -135,94 +161,44 @@ def givental_apply(potential: dict, r_coeffs, gcap: int = 2, ncap: int = 8, kcap
     is the identity element and returns the input unchanged.
     """
     defcap = gcap
+    shifts = [(s, c, (s + 1) // 2) for s, c in r_coeffs.items() if c and s <= defcap]
 
     def emit(out, g, mono, val):
-        if not val or g > gcap or len(mono) > ncap:
-            return
         mono = tuple(sorted(mono, reverse=True))
-        if mono and mono[0] > kcap:
-            return
-        if _entry_defect(g, mono) > defcap:
-            return
-        key = (g, mono)
-        cur = out.get(key, Fraction(0)) + val
-        if cur:
-            out[key] = cur
-        else:
-            out.pop(key, None)
+        if g <= gcap and len(mono) <= ncap and (not mono or mono[0] <= kcap):
+            if 3 * g - 3 + len(mono) - sum(mono) <= defcap:
+                _add(out, (g, mono), val)
 
-    def linear_part(vec: dict) -> dict:
-        out: dict = {}
-        for shift, coeff in r_coeffs.items():
-            if not coeff or shift > defcap:
-                continue
-            j = (shift + 1) // 2
-            for (g, mono), c in vec.items():
-                counts: dict[int, int] = {}
-                for k in mono:
-                    counts[k] = counts.get(k, 0) + 1
-                if counts.get(2 * j):
-                    lst = list(mono)
-                    lst.remove(2 * j)
-                    emit(out, g, lst, -coeff * c * counts[2 * j])
-                for v, m in counts.items():
-                    if v >= shift:
-                        lst = list(mono)
-                        lst.remove(v)
-                        lst.append(v - shift)
-                        emit(out, g, lst, coeff * c * m)
-                for a in range(0, 2 * j - 1):
-                    b = 2 * j - 2 - a
-                    w = counts.get(a, 0) * (counts.get(b, 0) - (1 if a == b else 0))
-                    if w <= 0:
-                        continue
-                    lst = list(mono)
-                    lst.remove(a)
-                    lst.remove(b)
-                    emit(out, g + 1, lst, -Fraction(1, 2) * (-1) ** a * coeff * c * w)
-        return out
+    def pair(out, da: dict, db: dict, w) -> None:
+        # g and n add over the factors; the product's defect is e1 + e2 - 3
+        for (g1, n1, e1), b1 in da.items():
+            for (g2, n2, e2), b2 in db.items():
+                if g1 + g2 <= gcap and n1 + n2 <= ncap and e1 + e2 - 3 <= defcap:
+                    for (_, m1), c1 in b1:
+                        wc = w * c1
+                        for (_, m2), c2 in b2:
+                            emit(out, g1 + g2, m1 + m2, wc * c2)
 
-    def partial(vec: dict, idx: int) -> dict:
-        out: dict = {}
-        for (g, mono), c in vec.items():
-            m = mono.count(idx)
-            if m:
-                lst = list(mono)
-                lst.remove(idx)
-                key = (g, tuple(lst))
-                out[key] = out.get(key, Fraction(0)) + c * m
-        return out
-
-    def quadratic_part(vp: dict, vq: dict) -> dict:
-        out: dict = {}
-        for shift, coeff in r_coeffs.items():
-            if not coeff or shift > defcap:
-                continue
-            j = (shift + 1) // 2
-            for a in range(0, 2 * j - 1):
-                b = 2 * j - 2 - a
-                da = partial(vp, a)
-                db = partial(vq, b)
-                if not da or not db:
-                    continue
-                w = -Fraction(1, 2) * (-1) ** a * coeff
-                for (g1, m1), c1 in da.items():
-                    for (g2, m2), c2 in db.items():
-                        emit(out, g1 + g2, m1 + m2, w * c1 * c2)
-        return out
-
-    terms = [dict(potential)]
+    terms, tables = [dict(potential)], []
     for m in range(defcap):
-        nxt = linear_part(terms[m])
-        for p in range(m + 1):
-            q = m - p
-            part = quadratic_part(terms[p], terms[q])
-            for key, val in part.items():
-                cur = nxt.get(key, Fraction(0)) + val
-                if cur:
-                    nxt[key] = cur
-                else:
-                    nxt.pop(key, None)
+        nxt: dict = {}
+        table = _partials(terms[m].items())
+        tables.append(table)
+        second = {b: _partials(_entries(table.get(b, {}))) for b in range(defcap)}
+        for shift, coeff, j in shifts:
+            for (g, rest), c in _entries(table.get(2 * j, {})):
+                emit(nxt, g, rest, -coeff * c)
+            for v, buckets in table.items():
+                if v >= shift:
+                    for (g, rest), c in _entries(buckets):
+                        emit(nxt, g, rest + (v - shift,), coeff * c)
+            for a in range(2 * j - 1):
+                b = 2 * j - 2 - a
+                w = -Fraction(1, 2) * (-1) ** a * coeff
+                for (g, rest), c in _entries(second[b].get(a, {})):
+                    emit(nxt, g + 1, rest, w * c)
+                for p in range(m + 1):
+                    pair(nxt, tables[p].get(a, {}), tables[m - p].get(b, {}), w)
         nxt = {k: v * Fraction(1, m + 1) for k, v in nxt.items()}
         if not nxt:
             break
@@ -230,11 +206,7 @@ def givental_apply(potential: dict, r_coeffs, gcap: int = 2, ncap: int = 8, kcap
     out: dict = {}
     for t in terms:
         for key, val in t.items():
-            cur = out.get(key, Fraction(0)) + val
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
+            _add(out, key, val)
     return out
 
 
@@ -260,7 +232,7 @@ def r_from_curve(order: int) -> Series:
 _HODGE_CACHE: dict = {}
 
 
-def hodge_potential(gcap: int = 2, ncap: int = 8, kcap: int = 8) -> dict:
+def hodge_potential(gcap: int, ncap: int, kcap: int) -> dict:
     """Generating potential of the Hodge-class integrals, cached per caps.
 
     Each quadratic-term application consumes two insertions, so the action is

@@ -137,6 +137,16 @@ def _character_column(mu: Partition) -> dict[Partition, int]:
     return out
 
 
+def _splits(g: int, rest: tuple):
+    """(g1, A, g2, B) over genus splits and ordered subset splits of rest."""
+    n_rest = len(rest)
+    for mask in range(1 << n_rest):
+        A = tuple(rest[i] for i in range(n_rest) if mask >> i & 1)
+        B = tuple(rest[i] for i in range(n_rest) if not mask >> i & 1)
+        for g1 in range(g + 1):
+            yield g1, A, g - g1, B
+
+
 def z_aut(mu) -> tuple[int, int]:
     """(z_mu, |Aut(mu)|) = (prod parts * prod mult!, prod mult!)."""
     mu = check_partition(mu)

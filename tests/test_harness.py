@@ -67,7 +67,7 @@ def test_hurwitz_row_compares_against_the_cut_and_join_table(monkeypatch, capsys
     rows = harness.campaign_hurwitz(2, (4, 3))
     assert rows[0]["ref"] == "character route vs cut-and-join table"
     assert rows[0]["status"] == "pass"
-    # a wrong disconnected-number source conflicts with the character route
+    # a wrong disconnected-number source disagrees with the character route
     real = hurwitz.cut_and_join_evolve
     monkeypatch.setattr(
         hurwitz, "cut_and_join_evolve", lambda: {k: 2 * v for k, v in real().items()}
@@ -75,13 +75,37 @@ def test_hurwitz_row_compares_against_the_cut_and_join_table(monkeypatch, capsys
     hurwitz._cutjoin_table.cache_clear()
     hurwitz.h_connected_cutjoin.cache_clear()
     try:
-        with pytest.raises(ConflictError, match="1/2 .* vs 1 "):
-            harness.campaign_hurwitz(1, (2,), HurwitzTable())
+        row = harness.campaign_hurwitz(1, (2,), HurwitzTable())[0]
+        assert (row["status"], row["lhs"], row["rhs"]) == ("fail", "1/2", "1")
         assert main(["hurwitz", "--g", "2", "--mu", "4,3"]) == 1
-        assert "conflict" in capsys.readouterr().err
+        assert json.loads(capsys.readouterr().out)["checks"][0]["status"] == "fail"
     finally:
         hurwitz._cutjoin_table.cache_clear()
         hurwitz.h_connected_cutjoin.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "route, name, label",
+    [
+        ("h_connected_cutjoin", "h-connected-g1-mu[2]", "cutjoin"),
+        ("h_bruteforce", "route-brute-g1-mu[2]", "brute"),
+    ],
+)
+def test_hurwitz_route_disagreement_is_a_fail_row(monkeypatch, capsys, route, name, label):
+    # the second route's wrong value is reported, not inserted into the table
+    real = getattr(harness, route)
+    monkeypatch.setattr(harness, route, lambda g, mu: real(g, mu) + 1)
+    table = HurwitzTable()
+    rows = {row["name"]: row for row in harness.campaign_hurwitz(1, (2,), table)}
+    assert rows[name]["status"] == "fail"
+    assert {rows[name]["lhs"], rows[name]["rhs"]} == {"1/2", "3/2"}
+    assert table.get(1, (2,)) == Fraction(1, 2)
+    assert label not in table.entries[(1, (2,))][1]
+    assert main(["hurwitz", "--g", "1", "--mu", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "1/2\n"
+    failed = [row for row in json.loads(captured.out)["checks"] if row["status"] == "fail"]
+    assert [row["name"] for row in failed] == [name]
 
 
 def test_cli_curve_csv(capsys):

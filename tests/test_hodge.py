@@ -1,8 +1,13 @@
+import hashlib
 import json
 from fractions import Fraction
+from math import factorial, prod
+
+import pytest
 
 from hurwitzlab.cli import main
 from hurwitzlab.hodge import (
+    _monomials,
     _mult_factor,
     bergman_compat_check,
     givental_apply,
@@ -100,6 +105,34 @@ def test_hodge_values_genus2():
     assert hodge_integral(2, (2,)) == Fraction(7, 5760)
     assert hodge_integral(2, (1,)) == 0
     assert hodge_integral(2, (0,)) == 0
+
+
+# b_g = int psi^(2g-2) lambda_g over M_{g,1}, the lambda_g formula's constant
+# (Faber-Pandharipande, Hodge integrals and Gromov-Witten theory)
+LAMBDA_G = {1: Fraction(1, 24), 2: Fraction(7, 5760), 3: Fraction(31, 967680)}
+
+
+@pytest.mark.parametrize("g, n", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_lambda_g_integrals(g, n):
+    # int psi^a lambda_g = C(2g - 3 + n; a) b_g; the alternating Hodge class
+    # carries lambda_g with sign (-1)^g
+    total = 2 * g - 3 + n
+    for ks in _monomials(total, n, total):
+        want = (-1) ** g * Fraction(factorial(total), prod(factorial(k) for k in ks)) * LAMBDA_G[g]
+        assert hodge_integral(g, ks) == want, ks
+
+
+@pytest.mark.parametrize(
+    "caps, digest",
+    [
+        ((2, 6, 6), "233d1dd27426a48b87716f6bcd8058dc811ea0161d81829f785cfd4e1f47bcbf"),
+        ((3, 1, 7), "6944194f419056d8e43829664098f07a2563fb96c6b2ffdb8027ac3bc549afeb"),
+    ],
+)
+def test_hodge_potential_is_pinned(caps, digest):
+    # sha256 of the sorted items, recorded before the flow was last rewritten
+    pot = hodge_potential(*caps)
+    assert hashlib.sha256(repr(sorted(pot.items())).encode()).hexdigest() == digest
 
 
 def test_hodge_integral_reads_the_potential_at_the_query_caps():
