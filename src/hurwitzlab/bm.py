@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import factorial
+from itertools import combinations_with_replacement
+from math import factorial, prod
 
 from .hurwitz import branch_count, fit_P_polynomial, h_connected
 from .lambert import apply_D, kernel_K, odd_projection, rho_poly, sigma_z, x_expand
@@ -281,28 +281,29 @@ def three_forms_agree(g: int, n: int) -> bool:
 def bm_vs_hurwitz(g: int, n: int, x_order: int = 6) -> dict:
     """Match the x-expansion of W_{g,n} against connected Hurwitz numbers.
 
-    ``mismatch`` is None when every coefficient matches, else the first
-    witness (g, n, mu, got, expected); a nonzero coefficient at a boundary
-    exponent (some mu_i = 0) is a witness with expected value 0.
+    Only the non-increasing exponent tuples mu are read, one per multiset,
+    in ascending ``combinations_with_replacement`` order with each tuple
+    reversed, so (1, ..., 1) comes first.  That covers every coefficient
+    only because W is symmetric, which the ``w-symmetric`` row checks
+    separately.  ``mismatch`` is None when every coefficient matches, else
+    the first witness (g, n, mu, got, expected); a nonzero coefficient at a
+    boundary exponent (a trailing mu_i = 0) is a witness with expected
+    value 0.
     """
     w = w_poly(g, n)
     got = x_expand(w, x_order)
     checked = 0
     mismatch = None
-    for mu in product(range(1, x_order + 1), repeat=n):
-        mu_sorted = tuple(sorted(mu, reverse=True))
-        b = branch_count(g, mu_sorted)
-        expected = h_connected(g, mu_sorted)
-        for m in mu:
-            expected = expected * m
-        expected = expected / factorial(b)
+    for ascending in combinations_with_replacement(range(1, x_order + 1), n):
+        mu = ascending[::-1]
+        expected = h_connected(g, mu) * prod(mu) / factorial(branch_count(g, mu))
         if got.get(mu, Fraction(0)) != expected:
             mismatch = (g, n, mu, got.get(mu, Fraction(0)), expected)
             break
         checked += 1
     if mismatch is None:
         for key, val in got.items():
-            if any(m == 0 for m in key) and val:
+            if key[-1] == 0 and val:
                 mismatch = (g, n, key, val, Fraction(0))
                 break
     return {

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial, prod
 from operator import itemgetter
@@ -27,9 +27,8 @@ from operator import itemgetter
 from .multipoly import MultiPoly
 from .partitions import (
     Partition,
-    _character_column,
+    _bead_column,
     check_partition,
-    dim_hook,
     enumerate_partitions,
     z_aut,
 )
@@ -58,36 +57,44 @@ def branch_count(g: int, mu) -> int:
 
 
 @lru_cache(maxsize=None)
+def _f2_dim(beads: int) -> tuple[int, int]:
+    """(f2(lam), dim lam) for the partition lam held as d = |lam| beads.
+
+    With the bead positions p, f2 = sum C(p, 2) - C(d, 3) - d(d - 1) (the
+    content sum shifted by the positions of the empty partition), and the
+    Frobenius formula dim = d! * Delta(p) / prod p! over the beads above the
+    filled run at the bottom, counted from the top of that run."""
+    d = beads.bit_count()
+    pos = [p for p in range(beads.bit_length()) if beads >> p & 1]
+    f2 = sum(p * (p - 1) // 2 for p in pos) - comb(d, 3) - d * (d - 1)
+    run = (beads ^ (beads + 1)).bit_length() - 1
+    top = [p - run for p in pos[run:]]
+    vandermonde = prod(q - p for p, q in combinations(top, 2))
+    return f2, factorial(d) * vandermonde // prod(factorial(p) for p in top)
+
+
+@lru_cache(maxsize=None)
 def _f2_weights(mu: Partition) -> tuple[tuple[int, int], ...]:
     """Pairs (f2, sum of dim_lam * chi^lam(mu) over the lam with that f2),
     over the support of the character column; f2 is always an integer."""
     weights: dict[int, int] = {}
-    for lam, chi in _character_column(mu).items():
-        f2 = sum(a * (a - 2 * i - 1) for i, a in enumerate(lam)) // 2
-        weights[f2] = weights.get(f2, 0) + dim_hook(lam) * chi
+    for beads, chi in _bead_column(mu[::-1]).items():
+        f2, dim = _f2_dim(beads)
+        weights[f2] = weights.get(f2, 0) + dim * chi
     return tuple((f2, w) for f2, w in weights.items() if w)
 
 
-def _partition_cache(fn):
-    """``lru_cache`` keyed on mu as a tuple, so that mu may be any sequence
-    of parts (a list too), as ``fock.a_correlator`` accepts; ``fn`` checks
-    the partition on a miss.  mu is the first argument of
-    ``disconnected_by_b`` and the second otherwise."""
-    cached = lru_cache(maxsize=None)(fn)
-    if fn.__code__.co_varnames[0] == "mu":
-        call = wraps(fn)(lambda mu, b: cached(tuple(mu), b))
-    else:
-        call = wraps(fn)(lambda g, mu: cached(g, tuple(mu)))
-    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-    return call
+@lru_cache(maxsize=None)
+def _character_count(mu: Partition, b: int) -> int:
+    """Factorizations of one fixed permutation of cycle type mu into b
+    transpositions: sum_lam dim_lam chi^lam(mu) f2(lam)^b / d!, exactly."""
+    return sum(w * f2**b for f2, w in _f2_weights(mu)) // factorial(sum(mu))
 
 
-@_partition_cache
-def disconnected_by_b(mu: Partition, b: int) -> Fraction:
+def disconnected_by_b(mu, b: int) -> Fraction:
     """Disconnected Hurwitz number indexed by (mu, number of transpositions)."""
     mu = check_partition(mu)
-    total = sum(w * f2**b for f2, w in _f2_weights(mu))
-    return Fraction(total, factorial(sum(mu)) * prod(mu))
+    return Fraction(_character_count(mu, b), prod(mu))
 
 
 # -- connected numbers via rooted inclusion-exclusion ----------------------------
@@ -106,35 +113,56 @@ def _rooted_splits(n: int) -> tuple:
     )
 
 
-def _rooted_connected(g: int, mu, disconnected, connected) -> Fraction:
-    """h(g; mu) from ``disconnected(mu, b)`` by rooted inclusion-exclusion.
+def _rooted_connected(g: int, mu, count, connected):
+    """The connected factorization count of one fixed permutation of cycle
+    type mu at genus g, from ``count(mu, b)`` by rooted inclusion-exclusion.
 
-    A disconnected cover splits into the component through part 0, carrying
-    the parts T and b_T of the b branch points (chosen in C(b, b_T) ways),
-    and any cover of the remaining parts; subtracting every T != mu, with
-    ``connected`` for the smaller connected numbers, leaves the connected
-    number.  The empty cover is not connected.
+    A factorization splits into the component through part 0, carrying the
+    parts T and b_T of the b transpositions (placed in C(b, b_T) ways), and
+    any factorization of the remaining parts; subtracting every T != mu,
+    with ``connected`` for the smaller connected counts, leaves the
+    connected count C = F - sum_T C(b, b_T) C_T F_rest.  The empty cover is
+    not connected.
     """
     mu = check_partition(mu)
     b = 2 * g + sum(mu) + len(mu) - 2
     if g < 0 or b < 0 or not mu:
-        return Fraction(0)
-    total = disconnected(mu, b)
+        return 0
+    total = count(mu, b)
     for t, r in _rooted_splits(len(mu)):
         mu_t = (mu[0],) + tuple(mu[i] for i in t)
         rest = tuple(mu[i] for i in r)
         base = sum(mu_t) + len(mu_t) - 2  # b_T at genus 0
         for b_t in range(base, b + 1, 2):
-            h_t = connected((b_t - base) // 2, mu_t)
-            if h_t:
-                total -= comb(b, b_t) * h_t * disconnected(rest, b - b_t)
+            c_t = connected((b_t - base) // 2, mu_t)
+            if c_t:
+                total -= comb(b, b_t) * c_t * count(rest, b - b_t)
     return total
 
 
-@_partition_cache
-def h_connected(g: int, mu) -> Fraction:
-    """Connected Hurwitz number h(g; mu), genus g >= 0, from the character sums."""
-    return _rooted_connected(g, mu, disconnected_by_b, h_connected)
+def _connected_route(count, doc: str):
+    """h(g; mu) = C / prod(mu), with the connected count C from ``count`` by
+    ``_rooted_connected``, cached per (g, mu).  mu may be any sequence of
+    parts (a list too), as ``fock.a_correlator`` accepts, and is checked on
+    a miss."""
+
+    @lru_cache(maxsize=None)
+    def connected(g: int, mu: Partition):
+        return _rooted_connected(g, mu, count, connected)
+
+    def h(g: int, mu) -> Fraction:
+        mu = tuple(mu)
+        return Fraction(connected(g, mu), prod(mu))
+
+    h.__doc__ = doc
+    h.cache_info, h.cache_clear = connected.cache_info, connected.cache_clear
+    return h
+
+
+h_connected = _connected_route(
+    _character_count,
+    "Connected Hurwitz number h(g; mu), genus g >= 0, from the character sums.",
+)
 
 
 def connected_from_disconnected(disc, index_set):
@@ -231,17 +259,19 @@ def _cutjoin_table():
     return cut_and_join_evolve()
 
 
-def _cutjoin_disconnected(mu: Partition, b: int) -> Fraction:
+def _cutjoin_count(mu: Partition, b: int):
+    """The factorization count read back from the cut-and-join table, as a
+    Fraction with denominator 1."""
     if (mu, b) not in _cutjoin_table():
         raise ResourceGuardError(f"cut-and-join table guard: |mu|={sum(mu)}, b={b}")
-    return _cutjoin_table()[(mu, b)]
+    return _cutjoin_table()[(mu, b)] * prod(mu)
 
 
-@_partition_cache
-def h_connected_cutjoin(g: int, mu) -> Fraction:
+h_connected_cutjoin = _connected_route(
+    _cutjoin_count,
     """h(g; mu) from the cut-and-join table, built once per process at its
-    guard d <= 10, b <= 16; beyond the table a ResourceGuardError."""
-    return _rooted_connected(g, mu, _cutjoin_disconnected, h_connected_cutjoin)
+    guard d <= 10, b <= 16; beyond the table a ResourceGuardError.""",
+)
 
 
 # -- monodromy counting with orbit tracking ---------------------------------------

@@ -96,7 +96,12 @@ def t_of_x(order: int) -> Series:
 
 def x_expand(poly: MultiPoly, x_order: int) -> dict:
     """poly(t(x_1), ..., t(x_n)) in the x-chart via t = 1/(y(x)-1), as the
-    nonzero coefficients {(m_1, ..., m_n): c} of prod x_i^{m_i}, m_i <= x_order."""
+    nonzero coefficients {(m_1, ..., m_n): c} of prod x_i^{m_i}, m_i <= x_order,
+    at the non-increasing exponent tuples m_1 >= ... >= m_n only.
+
+    For a symmetric poly those determine every coefficient; for any other
+    poly the rest are not read, so a caller that relies on the reduction
+    checks symmetry separately (as the ``w-symmetric`` row does for W)."""
     n = poly.nvars
     tx = t_of_x(x_order)
     maxdeg = max((poly.degree(i) for i in range(n)), default=0)
@@ -112,7 +117,7 @@ def x_expand(poly: MultiPoly, x_order: int) -> dict:
             tail = rec(coef, i + 1)
             ser = tpows[power]
             for suffix, cval in tail.items():
-                for mi in range(0, x_order + 1):
+                for mi in range(suffix[0] if suffix else 0, x_order + 1):
                     c = ser.coeff(mi) * cval
                     if c:
                         key = (mi,) + suffix

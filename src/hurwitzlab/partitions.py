@@ -4,8 +4,11 @@ central character.
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 partition is ``()``.  Characters come by two Murnaghan-Nakayama routes:
 ``mn_character`` removes border strips from lam (memoised per (lam, mu));
-``_character_column`` adds them to the empty partition and builds only the
-nonzero entries of a whole column {lam: chi^lam(mu)}.
+``_bead_column`` adds them to the empty partition and builds only the
+nonzero entries of a whole column {lam: chi^lam(mu)}, with each lam of s
+cells held as a set of s beads (the bits of an int).  Columns are cached by
+the ascending tuple of strip sizes, so the column of mu is one step from
+the column of mu without its largest part.
 """
 
 from __future__ import annotations
@@ -111,30 +114,32 @@ def _mn(lam: Partition, mu: Partition) -> int:
     return total
 
 
-def _character_column(mu: Partition) -> dict[Partition, int]:
-    """{lam: chi^lam(mu)} over the lam with chi^lam(mu) != 0, by adding border
-    strips of sizes mu[-1], ..., mu[0] to the empty partition with sign
-    (-1)^height.  As in ``_border_strips``, but with d = |mu| beads held as
-    the bits of an int, adding a strip of size r moves a bead from b to a
-    free b + r; its height is the number of beads strictly between."""
-    column = {(1 << sum(mu)) - 1: 1}
-    for r in reversed(mu):
-        nxt: dict[int, int] = {}
-        for beads, chi in column.items():
-            movable = beads & ~(beads >> r)
-            while movable:
-                low = movable & -movable
-                movable ^= low
-                moved = beads ^ low ^ (low << r)
-                height = (beads & ((low << r) - (low << 1))).bit_count()
-                nxt[moved] = nxt.get(moved, 0) + (-chi if height % 2 else chi)
-        column = {beads: chi for beads, chi in nxt.items() if chi}
-    out = {}
-    for beads, chi in column.items():
-        # the k-th lowest bead, at p, is the part p - k
-        pos = [p for p in range(beads.bit_length()) if beads >> p & 1]
-        out[tuple(p - k for k, p in enumerate(pos) if p > k)[::-1]] = chi
-    return out
+@lru_cache(maxsize=None)
+def _bead_column(strips: tuple[int, ...]) -> dict[int, int]:
+    """{beads: chi^lam(mu)} over the lam with chi^lam(mu) != 0, for mu the
+    parts ``strips`` in ascending order, by adding border strips of sizes
+    strips[0], strips[1], ... to the empty partition with sign (-1)^height.
+
+    A partition of s cells is held as s beads, the bits of an int; the
+    k-th lowest bead, at p, is the part p - k.  Before a strip of size r is
+    added the set is shifted up by r and padded with r low beads, which is
+    the same partition with s + r beads; the strip then moves a bead from b
+    to a free b + r, and its height is the number of beads strictly between
+    (as in ``_border_strips``)."""
+    if not strips:
+        return {0: 1}
+    r = strips[-1]
+    nxt: dict[int, int] = {}
+    for beads, chi in _bead_column(strips[:-1]).items():
+        beads = (beads << r) | ((1 << r) - 1)
+        movable = beads & ~(beads >> r)
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            moved = beads ^ low ^ (low << r)
+            height = (beads & ((low << r) - (low << 1))).bit_count()
+            nxt[moved] = nxt.get(moved, 0) + (-chi if height % 2 else chi)
+    return {beads: chi for beads, chi in nxt.items() if chi}
 
 
 def _splits(g: int, rest: tuple):

@@ -285,13 +285,19 @@ class Series:
         if not g.is_zero() and g.low < 1:
             raise ValueError("compose: inner series must have zero constant term")
         if g.is_zero():
-            # g = O(z^(g.order + 1)): f(g) is the constant term of f, and a
-            # pole of f, stored or possible below a zero f's order, has no value
+            # g = O(z^(g.order + 1)): f(g) = f(0) + O(g^m), for m the first
+            # positive power f may carry (its first nonzero stored one, or
+            # past its order), and a pole of f, stored or possible below a
+            # zero f's order, has no value
             pole = self.low < 0 if self.coeffs else self.order is not None and self.order < -1
             if pole:
                 raise ZeroDivisionError("compose: Laurent series at a zero inner series")
             if self.coeffs:
-                return Series.const(self.coeff(0), g.order)
+                m = next((k for k, c in enumerate(self.coeffs, self.low)
+                          if k > 0 and not is_zero_coeff(c)), None)
+                m = _min_order(m, None if self.order is None else self.order + 1)
+                order = None if g.order is None or m is None else m * (g.order + 1) - 1
+                return Series.const(self.coeff(0), order)
         if self.is_zero():
             if self.order is None:
                 return Series.zero(None)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -122,7 +123,7 @@ def test_x_expansion_01_3():
 
 def test_bm_vs_hurwitz_small():
     assert bm_vs_hurwitz(1, 1, 6)["coefficients_checked"] == 6
-    assert bm_vs_hurwitz(0, 3, 3)["coefficients_checked"] == 27
+    assert bm_vs_hurwitz(0, 3, 3)["coefficients_checked"] == 10  # multisets from {1,2,3}^3
     assert bm_vs_hurwitz(0, 3, 3)["mismatch"] is None
 
 
@@ -135,6 +136,38 @@ def test_x_expansion_mismatch_is_a_fail_row(monkeypatch):
     assert row["status"] == "fail"
     assert row["lhs"] == "mismatch at g=0 n=3 mu=(1, 1, 1): got 1, expected 7/24"
     assert all(r["status"] == "pass" for name, r in rows.items() if name != row["name"])
+
+
+def test_asymmetric_w_is_a_fail_row(monkeypatch, capsys):
+    # the x-expansion reads only sorted exponent tuples, so the symmetry of W
+    # is the w-symmetric row's to check
+    from hurwitzlab.cli import main
+
+    w = w_poly(0, 3)
+    monkeypatch.setitem(bm._W_CACHE, (0, 3), w + t(0, 3) ** 3 * t(1, 3) ** 2 * t(2, 3) ** 2)
+    rows = {row["name"]: row for row in harness.campaign_bm(0, 3, 2)}
+    assert rows["w-symmetric-0-3"]["status"] == "fail"
+    assert main(["bm", "--g", "0", "--n", "3", "--x-order", "2"]) == 1
+    captured = capsys.readouterr()
+    statuses = {row["name"]: row["status"] for row in json.loads(captured.out)["checks"]}
+    assert statuses["w-symmetric-0-3"] == "fail"
+    assert captured.err == ""
+
+
+def test_boundary_coefficient_is_a_witness(monkeypatch):
+    # t_i^2 t_j^2 summed over the pairs is symmetric and misses one variable
+    # in each term: its x-expansion is 0 at every positive exponent tuple and
+    # not at the sorted tuples with a trailing 0
+    w = w_poly(0, 3)
+    v = [t(i, 3) ** 2 for i in range(3)]
+    extra = v[0] * v[1] + v[0] * v[2] + v[1] * v[2]
+    monkeypatch.setitem(bm._W_CACHE, (0, 3), w + extra)
+    rep = bm_vs_hurwitz(0, 3, 3)
+    assert rep["coefficients_checked"] == 10
+    g, n, key, got, expected = rep["mismatch"]
+    assert (g, n, expected) == (0, 3, 0)
+    assert key[-1] == 0 and got == x_expand(extra, 3)[key] != 0
+    assert list(key) == sorted(key, reverse=True)
 
 
 def test_w02_x_expansion_sanity():

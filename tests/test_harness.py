@@ -229,3 +229,22 @@ def test_correlator_polynomiality_row_names_its_holdout_witness(monkeypatch):
     row = rows["correlator-polynomiality-1pt"]
     assert row["status"] == "fail"
     assert row["lhs"] == "fails at holdout (4,): fit 58, data 64"
+
+
+def test_elsv_row_names_the_first_mismatch(monkeypatch):
+    # hodge_integral wrong at (0, 2) and (1, 0); the coefficients of P_{1,2}
+    # are read in product order, so (0, 2) is the witness
+    from hurwitzlab import hodge
+
+    real = hodge.hodge_integral
+    wrong = {(0, 2), (1, 0)}
+    monkeypatch.setattr(
+        hodge, "hodge_integral",
+        lambda g, expts: real(g, expts) + 1 if tuple(expts) in wrong else real(g, expts),
+    )
+    rows = {row["name"]: row for row in harness.campaign_elsv(1, 2)}
+    row = rows["elsv-coefficients-1-2"]
+    lhs = hurwitz.fit_P_polynomial(1, 2).poly.coeff((0, 2))
+    assert row["status"] == "fail"
+    assert row["lhs"] == f"mismatch at {((0, 2), lhs, real(1, (0, 2)) + 1)}"
+    assert "elsv-top-coefficient-1-2" not in rows

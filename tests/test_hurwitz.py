@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitzlab.hurwitz import (
+    _f2_dim,
     ConflictError,
     HurwitzTable,
     PolynomialityError,
@@ -16,7 +17,7 @@ from hurwitzlab.hurwitz import (
     h_connected_cutjoin,
     hurwitz_scaled_value,
 )
-from hurwitzlab.partitions import enumerate_partitions
+from hurwitzlab.partitions import central_character_f2, dim_hook, enumerate_partitions
 
 
 def test_branch_count():
@@ -32,6 +33,15 @@ def test_disconnected_character_values():
     for d in range(1, 7):
         mu = (1,) * d
         assert disconnected_by_b(mu, 0) == 1
+
+
+def test_bead_f2_and_dim_match_the_content_sum_and_hook_lengths():
+    # lam as |lam| beads: the k-th part from the top at lam_k + |lam| - 1 - k
+    for d in range(0, 13):
+        for lam in enumerate_partitions(d):
+            parts = lam + (0,) * (d - len(lam))
+            beads = sum(1 << (a + d - 1 - k) for k, a in enumerate(parts))
+            assert _f2_dim(beads) == (central_character_f2(lam), dim_hook(lam)), lam
 
 
 def test_connected_values():

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitzlab.multipoly import MultiPoly, RatFn, divexact_linear_diff
 
@@ -36,6 +39,31 @@ def test_symmetry_and_degrees():
     assert p.is_symmetric()
     assert p.degree(0) == 2 and p.total_degree() == 3
     assert not (p + t(0)).is_symmetric()
+
+
+@st.composite
+def _polys(draw):
+    """A MultiPoly in at most 4 variables: symmetrized or not, then perhaps
+    with one more term."""
+    n = draw(st.integers(1, 4))
+    expts = st.tuples(*[st.integers(0, 2)] * n)
+    terms = draw(st.dictionaries(expts, st.integers(-2, 2), max_size=5))
+    if draw(st.booleans()):
+        sym: dict = {}
+        for e, c in terms.items():
+            for p in permutations(e):
+                sym[p] = sym.get(p, 0) + c
+        terms = sym
+    for e, c in draw(st.dictionaries(expts, st.integers(-1, 1), max_size=1)).items():
+        terms[e] = terms.get(e, 0) + c
+    return MultiPoly(n, terms)
+
+
+@given(_polys())
+@settings(max_examples=300, deadline=None)
+def test_symmetry_on_generators_is_symmetry_on_all_permutations(p):
+    every = all(p.coeff(q) == c for e, c in p.terms.items() for q in permutations(e))
+    assert p.is_symmetric() == every
 
 
 def test_subs_and_embed():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzlab.partitions import (
-    _character_column,
+    _bead_column,
     _mn,
     central_character_f2,
     conjugate,
@@ -59,6 +59,17 @@ def test_column_orthogonality(n):
             assert dot == (z_aut(mu)[0] if mu == nu else 0), (mu, nu)
 
 
+def _character_column(mu):
+    """{lam: chi^lam(mu)} from the bead column of mu; the k-th lowest bead,
+    at p, is the part p - k."""
+    column = {}
+    for beads, chi in _bead_column(mu[::-1]).items():
+        pos = [p for p in range(beads.bit_length()) if beads >> p & 1]
+        assert len(pos) == sum(mu)
+        column[tuple(p - k for k, p in enumerate(pos) if p > k)[::-1]] = chi
+    return column
+
+
 def test_character_column_is_the_nonzero_part_of_the_removal_route():
     for d in range(0, 13):
         lams = enumerate_partitions(d)
@@ -71,6 +82,17 @@ def test_character_column_support_at_five_sixes():
     column = _character_column((6, 6, 6, 6, 6))
     assert len(column) == 918
     assert all(column.values())
+
+
+def test_character_columns_share_their_prefix():
+    # the column of mu is one strip step from the column of mu without its
+    # largest part, which the cache then holds
+    _bead_column.cache_clear()
+    _character_column((3, 2, 1))
+    assert _bead_column.cache_info().currsize == 4
+    hits = _bead_column.cache_info().hits
+    _character_column((4, 2, 1))
+    assert _bead_column.cache_info().hits == hits + 1
 
 
 def test_central_character_examples():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurwitzlab.series import (
@@ -262,6 +262,9 @@ def test_pow_ignores_coefficients_past_the_order(low, a, ta, n):
     st.integers(-2, 3), _coeffs, _tail,
     st.integers(1, 2), _coeffs, _tail, st.booleans(),
 )
+# a zero inner series: the completed f = z^4 + O(z^5) at O(z^3) must claim
+# at least as far as O(z^4) at O(z^2) does
+@example(la=3, a=[0], ta=[1], lb=1, b=[0], tb=[0], g_exact=False)
 @settings(max_examples=80, deadline=None)
 def test_compose_ignores_coefficients_past_either_order(la, a, ta, lb, b, tb, g_exact):
     f, f_full = _known_and_completed(la, a, ta)
