@@ -25,8 +25,8 @@ for lam in [(), (1,), (2, 1), (3, 1, 1)]:
 
 print()
 print("bosonic modes in action: alpha_{-2} on the vacuum")
-v = alpha_apply(-2, vacuum(4))
-for lam, c in sorted(v.coeffs.items()):
+v = alpha_apply(-2, vacuum())
+for lam, c in sorted(v.items()):
     sign = "+" if c > 0 else "-"
     print(f"  {sign}{abs(c)} * v_{lam}")
 

@@ -5,7 +5,8 @@ a JSON (or CSV) report and exits 0 only if all checks passed, 1 on an
 identity failure, 2 when a truncation was too small to decide.  Bad input
 (an empty --mu or a part <= 0, --g < 0, an unstable (g, n), bm --x-order < 1,
 a --grid below 3g - 2 + n, --holdout < 1, a negative fock --kmax or --cutoff,
-a negative curve --order) is a usage error: exit 2 before any campaign runs.
+a negative curve --order, a malformed cache file) is a usage error: exit 2
+before any campaign runs.
 An A-correlator that differs between its two cutoffs exits 2, and a fit that
 misses a holdout point exits 1, each with one line on stderr.
 ``hurwitz`` compares the character value with the cut-and-join table, which
@@ -96,10 +97,13 @@ def main(argv=None) -> int:
     if args.command == "curve" and args.order < 0:
         parser.error(f"--order must be nonnegative, got {args.order}")
     cache_path = harness.resolve_cache_path(args.cache)
+    try:
+        table = harness.load_cache(cache_path)
+    except ValueError as exc:
+        parser.error(str(exc))
     params = {k: v for k, v in vars(args).items() if k not in ("command", "out", "format")}
     params = {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
     try:
-        table = harness.load_cache(cache_path)
         if args.command == "hurwitz":
             checks = harness.campaign_hurwitz(args.g, args.mu, table)
             value = table.get(args.g, tuple(sorted(args.mu, reverse=True)))

@@ -10,14 +10,16 @@ and the conjugated raising operators A(a, b) used for Hurwitz correlators,
 either evaluated at a positive integer a or with a kept symbolic (bivariate
 series in z and u).
 
-Everything respects an energy cutoff; states pushed above it are dropped and
-the vector is flagged as truncated.  High-level entry points recompute at two
-cutoffs and require agreement before a value is accepted.
+A vector is a dict {partition: coefficient} with no zero coefficient, and
+one loop (``_apply``) applies every operator to it, row by row.  alpha_m, F2
+and the z^j coefficient of E_n map finite vectors to finite vectors; only
+the A-operators are infinite sums, so only their builds take an energy
+cutoff, and states pushed above it are dropped.  High-level entry points
+recompute at two cutoffs and require agreement before a value is accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -115,64 +117,35 @@ def maya_string(lam: Partition, window: int = 5) -> str:
 # -- vectors ----------------------------------------------------------------------
 
 
-@dataclass
-class FockVector:
-    """Finite linear combination of basis states with an energy cutoff."""
-
-    coeffs: dict = field(default_factory=dict)
-    cutoff: int = 0
-    truncated: bool = False
-
-    def add(self, lam: Partition, c):
-        if is_zero_coeff(c):
-            return
-        if energy(lam) > self.cutoff:
-            self.truncated = True
-            return
-        cur = self.coeffs.get(lam)
-        new = c if cur is None else cur + c
-        if is_zero_coeff(new):
-            self.coeffs.pop(lam, None)
-        else:
-            self.coeffs[lam] = new
-
-    def scale(self, c) -> "FockVector":
-        out = FockVector({}, self.cutoff, self.truncated)
-        for lam, v in self.coeffs.items():
-            out.add(lam, v * c)
-        return out
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        out = FockVector(dict(self.coeffs), min(self.cutoff, other.cutoff),
-                         self.truncated or other.truncated)
-        for lam, v in other.coeffs.items():
-            out.add(lam, v)
-        return out
-
-    def coeff(self, lam: Partition):
-        return self.coeffs.get(tuple(lam), 0)
+def vacuum(one=Fraction(1)) -> dict:
+    """The vacuum as a vector {partition: coefficient}, with coefficient ``one``."""
+    return {(): one}
 
 
-def vacuum(cutoff: int, one=Fraction(1)) -> FockVector:
-    return FockVector({(): one}, cutoff)
+def _apply(v: dict, row, top=None) -> dict:
+    """sum_lam c * row(lam) over the entries lam: c of v, where row(lam) is
+    the operator's image {nu: entry} of the basis state lam.  A target above
+    energy ``top`` is skipped before its product is formed; cancelled entries
+    are dropped."""
+    out = {}
+    for lam, c in v.items():
+        for nu, w in row(lam).items():
+            if top is not None and energy(nu) > top:
+                continue
+            cur = out.get(nu)
+            out[nu] = c * w if cur is None else cur + c * w
+    return {nu: c for nu, c in out.items() if not is_zero_coeff(c)}
 
 
-def alpha_apply(m: int, v: FockVector) -> FockVector:
+def alpha_apply(m: int, v: dict) -> dict:
     """Apply alpha_m = E_m(0): move one occupied level down by m."""
     if m == 0:
         raise ValueError("alpha_0 is excluded")
-    out = FockVector({}, v.cutoff, v.truncated)
-    for lam, c in v.coeffs.items():
-        for mu, sign, _ in _e_moves(lam, m):
-            out.add(mu, c * sign if sign != 1 else c)
-    return out
+    return _apply(v, lambda lam: {mu: sign for mu, sign, _ in _e_moves(lam, m)})
 
 
-def f2_apply(v: FockVector) -> FockVector:
-    out = FockVector({}, v.cutoff, v.truncated)
-    for lam, c in v.coeffs.items():
-        out.add(lam, c * f2_eigenvalue(lam))
-    return out
+def f2_apply(v: dict) -> dict:
+    return _apply(v, lambda lam: {lam: f2_eigenvalue(lam)})
 
 
 @lru_cache(maxsize=None)
@@ -187,27 +160,22 @@ def dim_path(lam: Partition) -> int:
     return total
 
 
-def pair_exp_alpha1(v: FockVector):
+def pair_exp_alpha1(v: dict):
     """<0| e^{alpha_1} v, using the alpha_1 walk for each basis state."""
     total = 0
-    for lam, c in v.coeffs.items():
+    for lam, c in v.items():
         total = total + c * Fraction(dim_path(lam), factorial(energy(lam)))
     return total
 
 
-def e_operator_apply(n: int, j: int, v: FockVector) -> FockVector:
+def e_operator_apply(n: int, j: int, v: dict) -> dict:
     """Coefficient of z^j in E_n(z) v, including the n = 0 regularization."""
-    out = FockVector({}, v.cutoff, v.truncated)
     if n == 0:
-        for lam, c in v.coeffs.items():
-            out.add(lam, c * _diagonal_e0_x(lam, max(j, 0)).coeff(j))
-        return out
+        return _apply(v, lambda lam: {lam: _diagonal_e0_x(lam, max(j, 0)).coeff(j)})
     if j < 0:
-        return out
-    for lam, c in v.coeffs.items():
-        for mu, sign, rate in _e_moves(lam, n):
-            out.add(mu, c * sign * rate**j / factorial(j))
-    return out
+        return {}
+    return _apply(v, lambda lam: {mu: sign * rate**j / factorial(j)
+                                  for mu, sign, rate in _e_moves(lam, n)})
 
 
 # -- the Hurwitz vacuum expectation ------------------------------------------------
@@ -217,12 +185,11 @@ def vev_hurwitz(g: int, mu) -> Fraction:
     """<e^{alpha_1} F2^b prod alpha_{-mu_i}/mu_i> from the wedge-space side."""
     mu = check_partition(mu)
     b = branch_count(g, mu)
-    v = vacuum(sum(mu))
+    v = vacuum()
     for m in mu:
-        v = alpha_apply(-m, v).scale(Fraction(1, m))
+        v = {lam: c / m for lam, c in alpha_apply(-m, v).items()}
     for _ in range(b):
         v = f2_apply(v)
-    assert not v.truncated
     return Fraction(pair_exp_alpha1(v))
 
 
@@ -264,8 +231,9 @@ def _a_row(lam: Partition, coeff: dict, lift, reads: dict, cutoff: int, memo: di
     return row
 
 
-def apply_a_integer(m: int, v: FockVector, work_order: int) -> FockVector:
-    """Apply A(m, um) for a positive integer m to a vector of u-series.
+def apply_a_integer(m: int, v: dict, work_order: int, cutoff: int) -> dict:
+    """Apply A(m, um) for a positive integer m to a vector of u-series,
+    keeping the targets of energy at most ``cutoff``.
 
     All auxiliary series are built at ``work_order``; validity propagates
     through the coefficients, so callers truncate once at the very end.
@@ -280,17 +248,10 @@ def apply_a_integer(m: int, v: FockVector, work_order: int) -> FockVector:
     )
     pref = zeta_over_um**m
     # a row of lam visits only k <= |lam|
-    zpows = zeta_u.powers(-m, min(v.cutoff, max(map(energy, v.coeffs), default=0)), w)
+    zpows = zeta_u.powers(-m, min(cutoff, max(map(energy, v), default=0)), w)
     coeff = {k: pref * zk * (Fraction(1) / pochhammer(m, k)) for k, zk in zpows.items()}
-    reads, memo = dict.fromkeys(coeff, w), {}
-    out = FockVector({}, v.cutoff, v.truncated)
-    for lam, c in v.coeffs.items():
-        if energy(lam) + m > v.cutoff:
-            out.truncated = True  # E_{-m} raises the energy by m
-        row = _a_row(lam, coeff, lambda s: _x_to_u(s, m, w), reads, v.cutoff, memo)
-        for nu, entry in row.items():
-            out.add(nu, c * entry)
-    return out
+    lift, reads, memo = (lambda s: _x_to_u(s, m, w)), dict.fromkeys(coeff, w), {}
+    return _apply(v, lambda lam: _a_row(lam, coeff, lift, reads, cutoff, memo))
 
 
 @lru_cache(maxsize=None)
@@ -314,12 +275,10 @@ def a_vev(mu, u_order: int, cutoff: int) -> Series:
     """Disconnected <A(mu_1, u mu_1) ... A(mu_n, u mu_n)> at one cutoff."""
     mu = tuple(int(m) for m in mu)
     work = u_order + 2 * sum(mu) + len(mu) + 6
-    v = vacuum(cutoff, one=Series.const(Fraction(1), work))
+    v = vacuum(one=Series.const(Fraction(1), work))
     for m in reversed(mu):
-        v = apply_a_integer(m, v, work)
-    got = v.coeff(())
-    if isinstance(got, int):
-        got = Series.zero(u_order)
+        v = apply_a_integer(m, v, work, cutoff)
+    got = v.get((), Series.zero(u_order))
     if got.order is not None and got.order < u_order:
         raise ValueError("internal working order too small for the request")
     return got.truncate(u_order)
@@ -495,22 +454,6 @@ def a_k_operators(matrix, ks, u_order: int):
     return out
 
 
-def _op_apply(op, vec: dict, u_order: int, top: int) -> dict:
-    """op applied to vec, keeping only the targets of energy at most top."""
-    out: dict = {}
-    for lam, c in vec.items():
-        row = op.get(lam)
-        if not row:
-            continue
-        for nu, w in row.items():
-            if energy(nu) > top:
-                continue
-            cur = out.get(nu)
-            val = (c * w).truncate(u_order)
-            out[nu] = val if cur is None else cur + val
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 _SEVERITY = ("pass", "inconclusive", "fail")
 
 
@@ -549,9 +492,13 @@ def a_commutator_suite(kmax: int = 3, u_order: int = 2, cutoff: int = 7) -> dict
         u_work = u_order + cut + 2
         ops = a_k_operators(a_symbolic_matrix(kmax, cut), ks, u_work)
         one, zero = Series.const(Fraction(1), u_work), Series.zero(u_work)
-        single = {
-            (l, lam): _op_apply(ops[l], {lam: one}, u_work, cut) for l in ks for lam in states
-        }
+
+        def apply(k, vec, top=None):
+            # A_k vec through u^u_work, dropping what vanishes there
+            out = _apply(vec, lambda lam: ops[k].get(lam, {}), top)
+            return {nu: s for nu, c in out.items() if not (s := c.truncate(u_work)).is_zero()}
+
+        single = {(l, lam): apply(l, {lam: one}) for l in ks for lam in states}
         out = {}
         for i, k in enumerate(ks):
             for l in ks[i:]:
@@ -560,8 +507,8 @@ def a_commutator_suite(kmax: int = 3, u_order: int = 2, cutoff: int = 7) -> dict
                 for lam in states:
                     if energy(lam) > top:
                         continue
-                    ab = _op_apply(ops[k], single[(l, lam)], u_work, top)
-                    ba = ab if k == l else _op_apply(ops[l], single[(k, lam)], u_work, top)
+                    ab = apply(k, single[(l, lam)], top)
+                    ba = ab if k == l else apply(l, single[(k, lam)], top)
                     comm = {nu: (ab.get(nu, zero) - ba.get(nu, zero)).truncate(u_order)
                             for nu in ab.keys() | ba.keys()}
                     out[(k, l)][lam] = comm
@@ -588,7 +535,6 @@ def a_commutator_suite(kmax: int = 3, u_order: int = 2, cutoff: int = 7) -> dict
 
 
 __all__ = [
-    "FockVector",
     "vacuum",
     "energy",
     "level_occupied",

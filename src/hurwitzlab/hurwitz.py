@@ -392,16 +392,21 @@ class HurwitzTable:
 
     @staticmethod
     def from_json(rows) -> "HurwitzTable":
+        """The table of ``to_json`` rows; a malformed row raises ValueError
+        naming it, a row that conflicts with another raises ConflictError."""
+        if not isinstance(rows, list):
+            raise ValueError("expected a JSON list of rows")
         table = HurwitzTable()
-        for row in rows:
-            for route in str(row["route"]).split("+"):
-                table.insert(
-                    int(row["g"]),
-                    tuple(row["mu"]),
-                    rational_from_str(row["value"]),
-                    route,
-                )
-            if branch_count(int(row["g"]), tuple(row["mu"])) != int(row["b"]):
+        for i, row in enumerate(rows):
+            try:
+                g, mu = int(row["g"]), check_partition(row["mu"])
+                value, b = rational_from_str(row["value"]), int(row["b"])
+                routes = str(row["route"]).split("+")
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"row {i} {json.dumps(row)}: {exc!r}") from None
+            for route in routes:
+                table.insert(g, mu, value, route)
+            if branch_count(g, mu) != b:
                 raise ConflictError(f"inconsistent b field in row {row}")
         return table
 
@@ -415,7 +420,10 @@ class HurwitzTable:
             text = fh.read().strip()
         if not text:
             return HurwitzTable()
-        return HurwitzTable.from_json(json.loads(text))
+        try:
+            return HurwitzTable.from_json(json.loads(text))
+        except ValueError as exc:  # a JSONDecodeError is one too
+            raise ValueError(f"malformed cache file {path}: {exc}") from None
 
 
 # -- polynomial fits ------------------------------------------------------------------

@@ -22,18 +22,14 @@ from .series import Series, exp_series, log1p_series
 
 # -- rho polynomials -----------------------------------------------------------
 
-_RHO: list[MultiPoly] = []
-
-
+@lru_cache(maxsize=None)
 def rho_poly(k: int) -> MultiPoly:
     """rho_0 = -1 - t, rho_{k+1} = t^2 (t+1) d/dt rho_k (univariate in t)."""
     if k < 0:
         raise ValueError("rho_poly: k must be nonnegative")
-    if not _RHO:
-        _RHO.append(MultiPoly(1, {(0,): -1, (1,): -1}))
-    while len(_RHO) <= k:
-        _RHO.append(apply_D(_RHO[-1], 0))
-    return _RHO[k]
+    if k == 0:
+        return MultiPoly(1, {(0,): -1, (1,): -1})
+    return apply_D(rho_poly(k - 1), 0)
 
 
 def apply_D(p: MultiPoly, k: int) -> MultiPoly:

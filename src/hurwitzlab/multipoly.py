@@ -237,7 +237,7 @@ class MultiPoly:
         return out
 
     def reciprocal(self):
-        """Inverse of a constant or single-monomial polynomial only."""
+        """Inverse of a nonzero constant polynomial; any other polynomial raises."""
         if len(self.terms) != 1:
             raise ZeroDivisionError("only monomials are invertible as polynomials")
         (e, c), = self.terms.items()

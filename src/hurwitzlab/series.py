@@ -88,11 +88,6 @@ class Series:
         """Highest exponent with a stored coefficient."""
         return self.low + len(self.coeffs) - 1
 
-    def valuation(self):
-        if not self.coeffs:
-            return None
-        return self.low
-
     def coeff(self, k):
         """Coefficient of z^k; raises if k is beyond the validity order."""
         if self.order is not None and k > self.order:

@@ -3,6 +3,7 @@ import importlib
 import pkgutil
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import hurwitzlab
 
@@ -59,23 +60,50 @@ def _uses(path: Path) -> set:
     return found
 
 
-def test_every_exported_name_has_a_caller_outside_the_tests():
+def _callers_outside_the_tests() -> set:
+    """Every name read by the package, the demos or the benchmark; the
+    package's top-level re-export is not a caller."""
     package = Path(hurwitzlab.__file__).parent
     root = package.parent.parent
     used = set()
     for folder in (package, root / "demos", root / "perfbench"):
         for path in folder.glob("*.py"):
-            # the package's top-level re-export is not a caller
             if path != package / "__init__.py":
                 used |= _uses(path)
+    return used
+
+
+def _exported():
+    """(module name, exported name, object) for every public export."""
     modules = [hurwitzlab] + [
         importlib.import_module(f"hurwitzlab.{info.name}")
         for info in pkgutil.iter_modules(hurwitzlab.__path__)
     ]
+    return [(module.__name__, name, getattr(module, name))
+            for module in modules for name in getattr(module, "__all__", ())]
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    used = _callers_outside_the_tests()
     unused = sorted(
-        (module.__name__, name)
-        for module in modules
-        for name in getattr(module, "__all__", ())
+        (module, name)
+        for module, name, _ in _exported()
         if name not in used and name not in REFERENCE_ROUTES
+    )
+    assert not unused, unused
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller_outside_the_tests():
+    used = _callers_outside_the_tests()
+    unused = sorted(
+        {
+            (cls.__module__, cls.__name__, attr)
+            for _, _, cls in _exported()
+            if isinstance(cls, type) and cls.__module__.startswith("hurwitzlab.")
+            for attr, member in vars(cls).items()
+            if not attr.startswith("_")
+            and isinstance(member, (FunctionType, staticmethod, classmethod, property))
+            and attr not in used
+        }
     )
     assert not unused, unused

@@ -180,6 +180,39 @@ def test_cli_bad_input_is_a_usage_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("{not json", "line 1 column 2"),
+        ('[{"g": 0, "mu": [2, 1], "b": 3, "value": "4"}]', "row 0"),
+        ('[{"g": 0, "mu": [0], "b": 1, "value": "4", "route": "character"}]', "row 0"),
+        ('[{"g": 0, "mu": [2, 1], "b": 3, "value": "1/0", "route": "character"}]', "row 0"),
+        ("3", "list of rows"),
+    ],
+)
+@pytest.mark.parametrize("via_env", [False, True])
+def test_cli_malformed_cache_is_a_usage_error(text, where, via_env, tmp_path, monkeypatch, capsys):
+    # not JSON, a row without its route, a row with a part 0, a row whose
+    # value divides by zero, and JSON that is not a list of rows
+    path = tmp_path / "cache.json"
+    path.write_text(text)
+    monkeypatch.delenv("HURWITZLAB_CACHE", raising=False)
+    argv = ["hurwitz", "--g", "0", "--mu", "2,1"]
+    if via_env:
+        monkeypatch.setenv("HURWITZLAB_CACHE", str(path))
+    else:
+        argv = ["--cache", str(path)] + argv
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and str(path) in errors[0] and where in errors[0], captured.err
+    assert "Traceback" not in captured.err
+    assert path.read_text() == text
+
+
 def test_cli_undecided_truncation_exits_2(monkeypatch, capsys):
     # an A-correlator that differs between its two cutoffs is undecided
     from hurwitzlab import fock
