@@ -65,29 +65,22 @@ def d1d2_h02_diagonal() -> MultiPoly:
 # -- evaluation helpers for the residue forms -----------------------------------------
 
 
-def _eval_w_one_series(w: MultiPoly, pows, tvars, nvars) -> Series:
-    """W(1/s, t_{tvars}) as a z-series with n-variable polynomial coefficients,
-    reading 1/s^p from the power table at key -p."""
-    acc = Series.zero(pows[0].order)
-    mapping = [0] + list(tvars)  # slot 0 unused after extraction
-    for p, coef in enumerate(w.as_poly_in(0)):
-        if coef.is_zero():
-            continue
-        acc = acc + pows[-p] * coef.embed(nvars, mapping)
-    return acc
-
-
-def _eval_w_two_series(w: MultiPoly, pows1, pows2, tvars, nvars) -> Series:
-    """W(1/s1, 1/s2, t_{tvars}) with both first slots evaluated."""
-    acc = Series.zero(pows1[0].order)
-    mapping = [0, 0] + list(tvars)
-    for p, cp in enumerate(w.as_poly_in(0)):
-        if cp.is_zero():
-            continue
-        for q, cq in enumerate(cp.as_poly_in(1)):
-            if cq.is_zero():
-                continue
-            acc = acc + (pows1[-p] * pows2[-q]) * cq.embed(nvars, mapping)
+def _at(w: MultiPoly, tables, tvars, nvars: int) -> Series:
+    """W(1/s_1, ..., 1/s_m, t_{tvars}) for m = len(tables), as a z-series
+    with nvars-variable polynomial coefficients: 1/s_i^p is read from the
+    power table tables[i] at key -p, and W's remaining variables become
+    t_{tvars}.  The terms are grouped by their m leading exponents."""
+    m = len(tables)
+    groups: dict = {}
+    for e, c in w.terms.items():
+        groups.setdefault(e[:m], {})[(0,) * m + e[m:]] = c
+    mapping = [0] * m + list(tvars)  # the m leading slots are zero
+    acc = Series.zero(tables[0][0].order)
+    for lead, terms in groups.items():
+        z = tables[0][-lead[0]]
+        for table, p in zip(tables[1:], lead[1:]):
+            z = z * table[-p]
+        acc = acc + z * MultiPoly(w.nvars, terms).embed(nvars, mapping)
     return acc
 
 
@@ -111,23 +104,12 @@ def _w02_two_series(s1: Series, s2: Series, order: int) -> Series:
     return num * den.reciprocal(order)
 
 
-def _diag_series(pows, order: int) -> Series:
-    """The regularized diagonal evaluated at t = 1/s."""
-    diag = d1d2_h02_diagonal()
-    acc = Series.zero(order)
-    for a in range(diag.degree(0) + 1):
-        c = diag.coeff((a,))
-        if c:
-            acc = acc + pows[-a] * c
-    return acc
-
-
 def _w_factor_series(g1: int, nargs_vars: tuple, pows, nvars, order):
     """W_{g1, 1+|vars|}(1/s, t_vars) for a split factor."""
     k = len(nargs_vars)
     if (g1, k + 1) == (0, 2):
         return _w02_one_series(pows, nargs_vars[0], nvars, order)
-    return _eval_w_one_series(w_poly(g1, k + 1), pows, nargs_vars, nvars)
+    return _at(w_poly(g1, k + 1), [pows], nargs_vars, nvars)
 
 
 def _w_tilde_series(g: int, n: int, mode: str, order: int):
@@ -151,9 +133,9 @@ def _w_tilde_series(g: int, n: int, mode: str, order: int):
             if mode == "zs":
                 acc = acc + _w02_two_series(s1, s2, order)
             else:
-                acc = acc + _diag_series(pows1, order)
+                acc = acc + _at(d1d2_h02_diagonal(), [pows1], (), nvars)
         else:
-            acc = acc + _eval_w_two_series(w_poly(gm, nm), pows1, pows2, rest, nvars)
+            acc = acc + _at(w_poly(gm, nm), [pows1, pows2], rest, nvars)
     # the genus/variable splits; prune zero factors before evaluating so the
     # formally-included unknown (paired with the vanishing one-point term)
     # is never computed
@@ -207,8 +189,6 @@ def bm_step_projection(g: int, n: int) -> MultiPoly:
     out = MultiPoly.zero(n)
     t1 = MultiPoly.var(n, 0)
     for i, c in proj.items():
-        if isinstance(c, (int, Fraction)):
-            c = MultiPoly.const(n, c)
         out = out + t1**i * c
     return out
 
@@ -372,17 +352,10 @@ def cutjoin_t_check(g: int, n: int) -> dict:
             assert n == 1
             rhs = rhs + d1d2_h02_diagonal().embed(nv, [0]) * half
         else:
-            Hbig = h_poly_from_fit(g - 1, n + 1)
+            # D_k D_{n+1} H_{g-1,n+1} with its last variable set to t_k
+            dlast = apply_D(h_poly_from_fit(g - 1, n + 1), nv)
             for k in range(n):
-                big = Hbig.embed(nv + 1, list(range(n)) + [nv])
-                big = apply_D(apply_D(big, nv), k)
-                merged = big.subs_var(nv, k)
-                # drop the extra slot
-                dropped = MultiPoly(nv)
-                for e, c in merged.terms.items():
-                    assert e[nv] == 0
-                    dropped.terms[tuple(e[:nv])] = c
-                rhs = rhs + dropped * half
+                rhs = rhs + apply_D(dlast, k).embed(nv, list(range(nv)) + [k]) * half
     # stable genus/variable splits
     for k in range(n):
         rest = tuple(i for i in range(n) if i != k)

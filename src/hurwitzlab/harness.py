@@ -75,9 +75,17 @@ def resolve_cache_path(flag_value):
 
 
 def load_cache(path) -> HurwitzTable:
-    if path and os.path.exists(path):
-        return HurwitzTable.load(path)
-    return HurwitzTable()
+    """The table stored at ``path``; an empty one with no path or no file
+    there yet.  A path that cannot hold the cache (a directory, a file that
+    cannot be read, a missing folder) raises ValueError naming it."""
+    if not path:
+        return HurwitzTable()
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"cache file {path}: no such directory")
+    try:
+        return HurwitzTable.load(path) if os.path.exists(path) else HurwitzTable()
+    except OSError as exc:
+        raise ValueError(f"cache file {path}: {exc.strerror}") from None
 
 
 def save_cache(table: HurwitzTable, path):

@@ -1,9 +1,11 @@
-"""Exact multivariate polynomials over Fraction, plus a small univariate
-rational-function type used where a quotient must stay symbolic."""
+"""Exact multivariate polynomials over Fraction, plus a small type for an
+unreduced quotient of two of them, used where a quotient must stay symbolic."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
 from .rationals import rational_to_str
 
@@ -37,6 +39,21 @@ class MultiPoly:
         e = [0] * nvars
         e[i] = power
         return MultiPoly(nvars, {tuple(e): Fraction(1)})
+
+    @staticmethod
+    def _collect(nvars: int, pairs) -> "MultiPoly":
+        """The sum of the monomials in (exponents, coefficient) ``pairs``,
+        with every exponent whose coefficients cancel dropped: the one loop
+        that builds the terms of a sum, product, derivative or re-indexing."""
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for e, c in pairs:
+            if e in terms:
+                terms[e] += c
+            else:
+                terms[e] = c
+        out = MultiPoly(nvars)
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     # -- predicates / accessors -----------------------------------------------
 
@@ -96,23 +113,12 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        r = MultiPoly(self.nvars)
-        r.terms = out
-        return r
+        return MultiPoly._collect(self.nvars, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = MultiPoly(self.nvars)
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
+        return MultiPoly._collect(self.nvars, ((e, -c) for e, c in self.terms.items()))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -128,26 +134,13 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return MultiPoly(self.nvars)
-            r = MultiPoly(self.nvars)
-            r.terms = {e: c * other for e, c in self.terms.items()}
-            return r
+            return MultiPoly._collect(self.nvars, ((e, c * other) for e, c in self.terms.items()))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        r = MultiPoly(self.nvars)
-        r.terms = out
-        return r
+        pairs = ((tuple(map(add, e1, e2)), c1 * c2)
+                 for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())
+        return MultiPoly._collect(self.nvars, pairs)
 
     __rmul__ = __mul__
 
@@ -167,18 +160,10 @@ class MultiPoly:
     # -- calculus / substitution -------------------------------------------------
 
     def deriv(self, i: int) -> "MultiPoly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                e2 = tuple(e2)
-                s = out.get(e2, Fraction(0)) + c * e[i]
-                if s:
-                    out[e2] = s
-        r = MultiPoly(self.nvars)
-        r.terms = out
-        return r
+        return MultiPoly._collect(
+            self.nvars,
+            ((e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in self.terms.items() if e[i]),
+        )
 
     def eval(self, values) -> Fraction:
         values = [Fraction(v) for v in values]
@@ -191,33 +176,18 @@ class MultiPoly:
             acc += t
         return acc
 
-    def subs_var(self, i: int, j: int) -> "MultiPoly":
-        """Rename variable i to variable j (merging exponents)."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[j] += e2[i]
-            e2[i] = 0
-            e2 = tuple(e2)
-            s = out.get(e2, Fraction(0)) + c
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
-        r = MultiPoly(self.nvars)
-        r.terms = out
-        return r
-
     def embed(self, nvars: int, mapping) -> "MultiPoly":
-        """Re-index into a larger ring; mapping[i] is the new index of var i."""
-        out = MultiPoly(nvars)
-        for e, c in self.terms.items():
+        """Re-index into a ring of ``nvars`` variables: variable i becomes
+        variable mapping[i].  Variables mapped to one index multiply, so a
+        non-injective mapping merges their exponents."""
+
+        def moved(e):
             e2 = [0] * nvars
             for i, p in enumerate(e):
                 e2[mapping[i]] += p
-            out.terms[tuple(e2)] = out.terms.get(tuple(e2), Fraction(0)) + c
-        out.terms = {e: c for e, c in out.terms.items() if c}
-        return out
+            return tuple(e2)
+
+        return MultiPoly._collect(nvars, ((moved(e), c) for e, c in self.terms.items()))
 
     def as_poly_in(self, i: int):
         """Coefficients of powers of variable i, as polynomials in the rest.
@@ -225,24 +195,16 @@ class MultiPoly:
         Returns a list indexed by the power of t_i; entries keep ``nvars``
         variables with the i-th exponent zeroed.
         """
-        d = self.degree(i)
-        out = [MultiPoly(self.nvars) for _ in range(d + 1)]
+        groups = [[] for _ in range(self.degree(i) + 1)]
         for e, c in self.terms.items():
-            e2 = list(e)
-            p = e2[i]
-            e2[i] = 0
-            out[p].terms[tuple(e2)] = out[p].terms.get(tuple(e2), Fraction(0)) + c
-        for q in out:
-            q.terms = {e: c for e, c in q.terms.items() if c}
-        return out
+            groups[e[i]].append((e[:i] + (0,) + e[i + 1 :], c))
+        return [MultiPoly._collect(self.nvars, pairs) for pairs in groups]
 
     def reciprocal(self):
         """Inverse of a nonzero constant polynomial; any other polynomial raises."""
-        if len(self.terms) != 1:
-            raise ZeroDivisionError("only monomials are invertible as polynomials")
-        (e, c), = self.terms.items()
-        if any(e):
-            raise ZeroDivisionError("only constants are invertible as polynomials")
+        c = self.terms.get((0,) * self.nvars)
+        if c is None or len(self.terms) != 1:
+            raise ZeroDivisionError("only nonzero constants are invertible as polynomials")
         return MultiPoly.const(self.nvars, Fraction(1) / c)
 
     # -- serialization ------------------------------------------------------------

@@ -17,8 +17,9 @@ from hurwitzlab.bm import (
 )
 from hurwitzlab.bm import _w_tilde_series, _working_order
 from hurwitzlab.harness import ACCEPTANCE_SET
-from hurwitzlab.lambert import kernel_K, x_expand
+from hurwitzlab.lambert import kernel_K, poly_to_w_laurent, sigma_z, x_expand
 from hurwitzlab.multipoly import MultiPoly
+from hurwitzlab.series import Series
 
 
 def t(i, n):
@@ -65,6 +66,37 @@ def test_w11_value():
 def test_w_from_fit_matches_bm():
     for (g, n) in ACCEPTANCE_SET:
         assert w_poly(g, n) == w_from_fit(g, n), (g, n)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_power_table_evaluation_matches_laurent_composition(g):
+    # W_{g,1}(1/sigma) by the residue step's power tables, and by W written
+    # in w = 1/t and composed with w = sigma(z); equal through both orders
+    w = w_poly(g, 1)
+    d = w.degree(0)
+    order = d + 2
+    sig = sigma_z(order + 2)
+    got = bm._at(w, [sig.powers(-d, 0, order)], (), 1)
+    want = poly_to_w_laurent(w, order).compose(sig)
+    top = min(got.order, want.order)
+    assert got.low == want.low == -d and top >= 2
+    for k in range(-d, top + 1):
+        assert got.coeff(k) == want.coeff(k), k
+
+
+def test_power_table_evaluation_at_two_tables():
+    # W_{0,3}(1/z, 1/z, t): the coefficient of z^-m sums W's terms with
+    # p + q = m, as a polynomial in the third variable
+    w = w_poly(0, 3)
+    table = Series.x(None).powers(-3, 0, None)
+    got = bm._at(w, [table, table], (0,), 1)
+    want: dict = {}
+    for (p, q, r), c in w.terms.items():
+        layer = want.setdefault(p + q, {})
+        layer[(r,)] = layer.get((r,), 0) + c
+    assert got.order is None and (got.low, got.high) == (-6, -4)
+    for m in range(8):
+        assert got.coeff(-m) == MultiPoly(1, want.get(m, {})), m
 
 
 def test_three_forms_agree_small():

@@ -60,17 +60,52 @@ def _uses(path: Path) -> set:
     return found
 
 
+PACKAGE = Path(hurwitzlab.__file__).parent
+
+
+def _program_files() -> list:
+    """The package's modules, the demos and the benchmark scripts."""
+    root = PACKAGE.parent.parent
+    return [path for folder in (PACKAGE, root / "demos", root / "perfbench")
+            for path in sorted(folder.glob("*.py"))]
+
+
 def _callers_outside_the_tests() -> set:
     """Every name read by the package, the demos or the benchmark; the
     package's top-level re-export is not a caller."""
-    package = Path(hurwitzlab.__file__).parent
-    root = package.parent.parent
     used = set()
-    for folder in (package, root / "demos", root / "perfbench"):
-        for path in folder.glob("*.py"):
-            if path != package / "__init__.py":
-                used |= _uses(path)
+    for path in _program_files():
+        if path != PACKAGE / "__init__.py":
+            used |= _uses(path)
     return used
+
+
+def _writes_to_terms(path: Path) -> list:
+    """Lines of ``path`` that assign to (or delete) an attribute named
+    ``terms``, or a subscript of one."""
+    def leaves(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                yield from leaves(elt)
+        elif isinstance(target, ast.Starred):
+            yield from leaves(target.value)
+        else:
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            yield target
+
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(leaf, ast.Attribute) and leaf.attr == "terms"
+               for target in targets for leaf in leaves(target)):
+            lines.append(node.lineno)
+    return lines
 
 
 def _exported():
@@ -107,3 +142,11 @@ def test_every_public_method_of_an_exported_class_has_a_caller_outside_the_tests
         }
     )
     assert not unused, unused
+
+
+def test_only_multipoly_writes_polynomial_terms():
+    # a MultiPoly's terms are built in one place, MultiPoly._collect; every
+    # other module reads them or goes through the ring operations
+    writes = {path.name: lines for path in _program_files()
+              if path != PACKAGE / "multipoly.py" and (lines := _writes_to_terms(path))}
+    assert not writes, writes

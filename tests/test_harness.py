@@ -213,6 +213,31 @@ def test_cli_malformed_cache_is_a_usage_error(text, where, via_env, tmp_path, mo
     assert path.read_text() == text
 
 
+@pytest.mark.parametrize("where", ["directory", "missing folder"])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_cli_unopenable_cache_is_a_usage_error(where, via_env, tmp_path, monkeypatch, capsys):
+    # a directory, or a file in a folder that does not exist, is rejected
+    # before any campaign runs, with one error line naming the path
+    path = tmp_path if where == "directory" else tmp_path / "nodir" / "cache.json"
+    ran = []
+    monkeypatch.setattr(harness, "campaign_hurwitz", lambda *args: ran.append(args) or [])
+    monkeypatch.delenv("HURWITZLAB_CACHE", raising=False)
+    argv = ["hurwitz", "--g", "0", "--mu", "2,1"]
+    if via_env:
+        monkeypatch.setenv("HURWITZLAB_CACHE", str(path))
+    else:
+        argv = ["--cache", str(path)] + argv
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and not ran
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and str(path) in errors[0], captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_cli_undecided_truncation_exits_2(monkeypatch, capsys):
     # an A-correlator that differs between its two cutoffs is undecided
     from hurwitzlab import fock

@@ -67,10 +67,89 @@ def test_symmetry_on_generators_is_symmetry_on_all_permutations(p):
 
 
 def test_subs_and_embed():
+    # a non-injective embed is a substitution: it merges the exponents of
+    # the variables mapped to one index, and cancelled terms are dropped
     p = t(0) ** 2 + t(1)
-    assert p.subs_var(0, 1) == t(1) ** 2 + t(1)
+    assert p.embed(2, [1, 1]) == t(1) ** 2 + t(1)
+    assert (t(0) * t(1) ** 2).embed(2, [0, 0]) == t(0) ** 3
+    assert (t(0) - t(1)).embed(1, [0, 0]).is_zero()
     q = p.embed(3, [2, 0])
     assert q.coeff((0, 0, 2)) == 1 and q.coeff((1, 0, 0)) == 1
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _ring(draw):
+    """Two random polynomials in one ring, a point and a scalar."""
+    n = draw(st.integers(1, 3))
+    expts = st.tuples(*[st.integers(0, 3)] * n)
+    p, q = (MultiPoly(n, draw(st.dictionaries(expts, _rationals, max_size=6))) for _ in "pq")
+    x = draw(st.lists(_rationals, min_size=n, max_size=n))
+    return p, q, x, draw(st.one_of(st.integers(-3, 3), _rationals))
+
+
+def _built(r, nvars):
+    """r, after checking that it is in the ring and stores no zero term."""
+    assert r.nvars == nvars
+    assert all(len(e) == nvars and c for e, c in r.terms.items()), r.terms
+    return r
+
+
+@given(_ring())
+@settings(max_examples=100, deadline=None)
+def test_ring_operations_agree_with_evaluation(case):
+    # Schwartz-Zippel: each operation checked at a random rational point
+    p, q, x, c = case
+    n = p.nvars
+    px, qx = p.eval(x), q.eval(x)
+    assert _built(p + q, n).eval(x) == px + qx
+    assert _built(p - q, n).eval(x) == px - qx
+    assert _built(-p, n).eval(x) == -px
+    assert _built(p * q, n).eval(x) == px * qx
+    assert _built(c * p, n).eval(x) == _built(p * c, n).eval(x) == c * px
+    assert _built(p + c, n).eval(x) == px + c
+    assert _built(p - p, n).is_zero()
+
+
+@given(_ring())
+@settings(max_examples=100, deadline=None)
+def test_coefficients_in_one_variable_sum_back(case):
+    p, _, x, _ = case
+    for i in range(p.nvars):
+        parts = [_built(part, p.nvars) for part in p.as_poly_in(i)]
+        assert all(e[i] == 0 for part in parts for e in part.terms)
+        assert sum(part.eval(x) * x[i] ** k for k, part in enumerate(parts)) == p.eval(x)
+
+
+@given(_ring(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_embed_agrees_with_evaluation(case, data):
+    # the mapping may send several variables to one index
+    p, _, _, _ = case
+    m = data.draw(st.integers(1, 4))
+    mapping = data.draw(st.lists(st.integers(0, m - 1), min_size=p.nvars, max_size=p.nvars))
+    y = data.draw(st.lists(_rationals, min_size=m, max_size=m))
+    assert _built(p.embed(m, mapping), m).eval(y) == p.eval([y[j] for j in mapping])
+
+
+@given(_ring())
+@settings(max_examples=100, deadline=None)
+def test_deriv_obeys_the_product_rule(case):
+    p, q, x, _ = case
+    for i in range(p.nvars):
+        lhs = _built((p * q).deriv(i), p.nvars)
+        rhs = p.deriv(i) * q + p * q.deriv(i)
+        assert lhs.eval(x) == rhs.eval(x)
+    assert _built(MultiPoly.var(p.nvars, 0, 3).deriv(0), p.nvars) == 3 * MultiPoly.var(p.nvars, 0, 2)
+
+
+def test_only_nonzero_constants_are_invertible():
+    assert MultiPoly.const(2, Fraction(2, 3)).reciprocal() == Fraction(3, 2)
+    for p in (t(0), 1 + t(0), MultiPoly.zero(2)):
+        with pytest.raises(ZeroDivisionError, match="only nonzero constants"):
+            p.reciprocal()
 
 
 def test_divexact():
