@@ -359,22 +359,29 @@ def _r_matrix_rows() -> list:
 def _hurwitz_route_rows() -> list:
     checks = []
     table = _cutjoin_table()
-    ok_cutjoin = all(
-        table[(mu, b)] == disconnected_by_b(mu, b)
-        for d in range(1, 7)
-        for mu in enumerate_partitions(d)
-        for b in range(0, 9)
+    witness = next(
+        (
+            f"mismatch at mu={list(mu)}, b={b}: cut-and-join {table[(mu, b)]}, character {char}"
+            for d in range(1, 7)
+            for mu in enumerate_partitions(d)
+            for b in range(0, 9)
+            if table[(mu, b)] != (char := disconnected_by_b(mu, b))
+        ),
+        True,
     )
-    checks.append(check("cutjoin-vs-character", "disconnected tables agree", ok_cutjoin, True))
-    ok_brute = True
-    for d in range(1, 7):
-        for mu in enumerate_partitions(d):
-            for g in range(0, 5):
-                if branch_count(g, mu) > 8:
-                    continue
-                if h_bruteforce(g, mu) != h_connected(g, mu):
-                    ok_brute = False
-    checks.append(check("brute-vs-character", "connected numbers agree", ok_brute, True))
+    checks.append(check("cutjoin-vs-character", "disconnected tables agree", witness, True))
+    witness = next(
+        (
+            f"mismatch at g={g}, mu={list(mu)}: brute {brute}, character {h_connected(g, mu)}"
+            for d in range(1, 7)
+            for mu in enumerate_partitions(d)
+            for g in range(0, 5)
+            if branch_count(g, mu) <= 8
+            and (brute := h_bruteforce(g, mu)) != h_connected(g, mu)
+        ),
+        True,
+    )
+    checks.append(check("brute-vs-character", "connected numbers agree", witness, True))
     checks.append(check("spot-h-1-(2)", "transposition cube", h_connected(1, (2,)), Fraction(1, 2)))
     checks.append(check("spot-h-0-(1,1,1)", "degree-3 base", h_connected(0, (1, 1, 1)), 24))
     for a in range(1, 7):
@@ -385,6 +392,20 @@ def _hurwitz_route_rows() -> list:
     return checks
 
 
+def _projection_row(g: int, n: int) -> dict:
+    """The odd-projection route to W_{g,n} against the residue route; a
+    mismatch names the first differing exponent and both coefficients."""
+    from .bm import bm_step_projection, w_poly
+
+    proj, res = bm_step_projection(g, n), w_poly(g, n)
+    diff = sorted(e for e in proj.terms.keys() | res.terms.keys() if proj.coeff(e) != res.coeff(e))
+    witness = True
+    if diff:
+        e = diff[0]
+        witness = f"mismatch at t^{e}: projection {proj.coeff(e)}, residue {res.coeff(e)}"
+    return check(f"w-projection-g{g}-n{n}", "odd-projection route vs residue route", witness, True)
+
+
 def _bm_rows() -> list:
     from .bm import w_poly
     from .multipoly import MultiPoly
@@ -392,6 +413,7 @@ def _bm_rows() -> list:
     checks = []
     for (g, n) in ACCEPTANCE_SET:
         checks.extend(campaign_bm(g, n, 6))
+        checks.append(_projection_row(g, n))
     w11 = MultiPoly(
         1,
         {(5,): Fraction(-3, 24), (4,): Fraction(-5, 24), (3,): Fraction(-1, 24), (2,): Fraction(1, 24)},

@@ -5,7 +5,9 @@ Routes implemented here:
 * character sums over irreducible symmetric-group characters,
 * the cut-and-join evolution in the number of transpositions,
 * direct monodromy counting with an orbit-tracking dynamic program
-  (transitivity enforced structurally, no inclusion-exclusion).
+  (transitivity enforced structurally, no inclusion-exclusion), walked
+  once per degree d over integer (permutation, orbit labels) states through
+  b = 8 and read by every b and mu of that degree.
 
 Conventions: the disconnected number at degree d and cycle type mu counts
 b-tuples of transpositions whose product lies in the class of mu, weighted
@@ -20,9 +22,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial, prod
-from operator import itemgetter
 
 from .multipoly import MultiPoly
 from .partitions import (
@@ -294,47 +295,85 @@ def _cycle_type(perm) -> Partition:
     return tuple(sorted(out, reverse=True))
 
 
+_BRUTE_B_MAX = 8  # the monodromy count's guard on b (on d it is 7)
+
+
+@lru_cache(maxsize=None)
+def _transitive_tallies(d: int) -> tuple:
+    """Per b = 0.._BRUTE_B_MAX, the transitive b-tuples of transpositions
+    in S_d by the cycle type of their product: a tuple of dicts {mu: count}.
+
+    One walk per degree: a state is the int p * NQ + q, with p indexing the
+    product's permutation and q the orbit labels (label[i] is the smallest
+    point in the orbit of i; a transposition joining two orbits relabels the
+    larger label to the smaller).  Each transposition t is two lookup lists,
+    ``mult[t][p]`` (already scaled by NQ) and ``join[t][q]``.  The walk
+    starts at the identity with every point its own orbit, state 0, and the
+    tuple is transitive iff every label is 0.  The tables live only in the
+    walk; the cache keeps the tallies.
+    """
+    ident = tuple(range(d))
+    perms = list(permutations(ident))
+    perm_index = {perm: k for k, perm in enumerate(perms)}
+    pairs = list(combinations(ident, 2))
+    labels, label_index, joins = [ident], {ident: 0}, [[] for _ in pairs]
+    for label in labels:  # grows while it is read: every reachable labelling
+        for (i, j), join in zip(pairs, joins):
+            lo, hi = sorted((label[i], label[j]))
+            merged = tuple(lo if x == hi else x for x in label)
+            if merged not in label_index:
+                label_index[merged] = len(labels)
+                labels.append(merged)
+            join.append(label_index[merged])
+    nq = len(labels)
+    steps = []  # (mult, join) per transposition: perm -> perm . (i j)
+    for (i, j), join in zip(pairs, joins):
+        swap = list(ident)
+        swap[i], swap[j] = j, i
+        mult = [nq * perm_index[tuple(perm[k] for k in swap)] for perm in perms]
+        steps.append((mult, join))
+    transitive = label_index[(0,) * d]
+
+    def tally(states) -> dict[Partition, int]:
+        out: dict[Partition, int] = {}
+        for state, cnt in states.items():
+            p, q = divmod(state, nq)
+            if q == transitive:
+                mu = _cycle_type(perms[p])
+                out[mu] = out.get(mu, 0) + cnt
+        return out
+
+    states = {0: 1}
+    tallies = [tally(states)]
+    for _ in range(_BRUTE_B_MAX):
+        nxt: dict[int, int] = {}
+        for state, cnt in states.items():
+            p, q = divmod(state, nq)
+            for mult, join in steps:
+                key = mult[p] + join[q]
+                nxt[key] = nxt.get(key, 0) + cnt
+        states = nxt
+        tallies.append(tally(states))
+    return tuple(tallies)
+
+
 def h_bruteforce(g: int, mu) -> Fraction:
     """Connected Hurwitz number by explicit monodromy counting.
 
     Counts tuples of b transpositions with product in the class of mu whose
     generated group acts transitively, then applies the |Aut(mu)|/d!
-    normalization.  The orbits are tracked as labels: label[i] is the
-    smallest point in the orbit of i, a transposition (i j) joining two
-    orbits relabels the larger label to the smaller, and the group is
-    transitive iff every label is 0.
+    normalization.  The count is a lookup in ``_transitive_tallies(d)``,
+    one walk over (permutation, orbit labels) states per degree through
+    b = 8, shared by every b and mu of that degree.
     """
     mu = check_partition(mu)
     d = sum(mu)
     b = branch_count(g, mu)
-    if d > 7 or b > 8:
+    if d > 7 or b > _BRUTE_B_MAX:
         raise ResourceGuardError(f"brute-force guard: |mu|={d}, b={b}")
     if b < 0 or not mu:  # the empty cover is not connected
         return Fraction(0)
-    ident = tuple(range(d))
-    taus = []  # (i, j, the map perm -> tau . perm, which swaps the images i and j)
-    for i, j in combinations(ident, 2):
-        swap = list(ident)
-        swap[i], swap[j] = j, i
-        taus.append((i, j, itemgetter(*swap)))
-    states: dict[tuple, int] = {(ident, ident): 1}
-    for _ in range(b):
-        nxt: dict[tuple, int] = {}
-        for (perm, label), cnt in states.items():
-            for i, j, apply in taus:
-                lo, hi = label[i], label[j]
-                if lo > hi:
-                    lo, hi = hi, lo
-                merged = label if lo == hi else tuple(lo if x == hi else x for x in label)
-                key = (apply(perm), merged)
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-    transitive = (0,) * d
-    total = sum(
-        cnt
-        for (perm, label), cnt in states.items()
-        if label == transitive and _cycle_type(perm) == mu
-    )
+    total = _transitive_tallies(d)[b].get(mu, 0)
     _, aut = z_aut(mu)
     return Fraction(aut * total, factorial(d))
 

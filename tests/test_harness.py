@@ -306,3 +306,51 @@ def test_elsv_row_names_the_first_mismatch(monkeypatch):
     assert row["status"] == "fail"
     assert row["lhs"] == f"mismatch at {((0, 2), lhs, real(1, (0, 2)) + 1)}"
     assert "elsv-top-coefficient-1-2" not in rows
+
+
+@pytest.mark.parametrize(
+    "route, name, wrong_at, witness",
+    [
+        ("h_bruteforce", "brute-vs-character", (1, (2, 1)),
+         "mismatch at g=1, mu=[2, 1]: brute 41, character 40"),
+        ("disconnected_by_b", "cutjoin-vs-character", ((2, 1), 3),
+         "mismatch at mu=[2, 1], b=3: cut-and-join 9/2, character 11/2"),
+    ],
+)
+def test_route_rows_name_the_first_mismatch(monkeypatch, capsys, route, name, wrong_at, witness):
+    real = getattr(harness, route)
+    monkeypatch.setattr(
+        harness, route, lambda *args: real(*args) + 1 if args == wrong_at else real(*args)
+    )
+    rows = {row["name"]: row for row in harness.ALL_CRITERIA[3]()}
+    assert (rows[name]["status"], rows[name]["lhs"]) == ("fail", witness)
+    assert [row["name"] for row in rows.values() if row["status"] == "fail"] == [name]
+    # the CLI reports the row and exits 1 (criterion 3 alone, to keep the test short)
+    monkeypatch.setattr(harness, "ALL_CRITERIA", {3: harness.ALL_CRITERIA[3]})
+    assert main(["all"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    failed = [row for row in json.loads(captured.out)["checks"] if row["status"] == "fail"]
+    assert [(row["name"], row["lhs"]) for row in failed] == [(f"c3:{name}", witness)]
+
+
+def test_criterion_3_walks_each_degree_once():
+    hurwitz._transitive_tallies.cache_clear()
+    harness.ALL_CRITERIA[3]()
+    assert hurwitz._transitive_tallies.cache_info().misses == 6  # degrees 1..6
+
+
+def test_projection_row_names_the_first_mismatch(monkeypatch):
+    from hurwitzlab import bm
+    from hurwitzlab.multipoly import MultiPoly
+
+    assert harness._projection_row(1, 1)["status"] == "pass"
+    real = bm.bm_step_projection
+    monkeypatch.setattr(
+        bm, "bm_step_projection", lambda g, n: real(g, n) + MultiPoly.var(n, 0, 3)
+    )
+    row = harness._projection_row(1, 1)
+    assert row["name"] == "w-projection-g1-n1"
+    assert (row["status"], row["lhs"]) == (
+        "fail", "mismatch at t^(3,): projection 23/24, residue -1/24"
+    )

@@ -1,4 +1,7 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
+from math import factorial, prod
 
 import pytest
 
@@ -65,6 +68,54 @@ def test_bruteforce_small():
     assert h_bruteforce(0, (2, 1)) == h_connected(0, (2, 1))
     assert h_bruteforce(0, (1,)) == 1
     assert h_bruteforce(1, (1,)) == 0
+
+
+def _literal_transitive_counts(d: int, b: int) -> Counter:
+    """Every b-tuple of transpositions in S_d multiplied out, the transitive
+    ones tallied by the cycle type of the product."""
+    counts = Counter()
+    for taus in product(combinations(range(d), 2), repeat=b):
+        perm, parent = list(range(d)), list(range(d))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i, j in taus:
+            perm[i], perm[j] = perm[j], perm[i]
+            parent[find(i)] = find(j)
+        if len({find(x) for x in range(d)}) > 1:
+            continue
+        seen, cycles = set(), []
+        for start in range(d):
+            length, x = 0, start
+            while x not in seen:
+                seen.add(x)
+                x, length = perm[x], length + 1
+            if length:
+                cycles.append(length)
+        counts[tuple(sorted(cycles, reverse=True))] += 1
+    return counts
+
+
+def test_bruteforce_matches_a_literal_enumeration():
+    # all C(d, 2)^b tuples for d <= 4, b <= 5, normalised by |Aut(mu)|/d!
+    for d in range(1, 5):
+        for b in range(0, 6):
+            counts = _literal_transitive_counts(d, b)
+            for mu in enumerate_partitions(d):
+                twice_g = b - branch_count(0, mu)
+                aut = prod(factorial(m) for m in Counter(mu).values())
+                expected = Fraction(aut * counts[mu], factorial(d))
+                if twice_g < 0 or twice_g % 2:
+                    assert expected == 0, (mu, b)
+                    continue
+                assert h_bruteforce(twice_g // 2, mu) == expected, (mu, b)
+
+
+def test_bruteforce_one_part_closed_form_at_the_degree_guard():
+    assert h_bruteforce(0, (7,)) == 7**4
 
 
 def test_bruteforce_guard():
