@@ -8,10 +8,10 @@ Hurwitz numbers.
 """
 
 from hurwitzlab.bm import (
+    bm_step,
     bm_step_projection,
     bm_vs_hurwitz,
     cutjoin_t_check,
-    three_forms_agree,
     w_from_fit,
     w_invariants,
     w_poly,
@@ -22,7 +22,7 @@ for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
     inv = w_invariants(g, n)
     print(f"W_{{{g},{n}}}: {len(w.terms)} monomials, degrees {inv['degrees']}")
     print(f"  symmetric: {inv['symmetric']}, divisible by t_i^2: {inv['divisible_by_t_squared']}")
-    print(f"  three residue forms agree: {three_forms_agree(g, n)}")
+    print(f"  three residue forms agree: {all(bm_step(g, n, f) == w for f in ('zz', 'zs', 'ss'))}")
     print(f"  projection form agrees:    {bm_step_projection(g, n) == w}")
     print(f"  rho-basis reconstruction:  {w_from_fit(g, n) == w}")
 

@@ -5,9 +5,9 @@ a JSON (or CSV) report and exits 0 only if all checks passed, 1 on an
 identity failure, 2 when a truncation was too small to decide.  Bad input
 (an empty --mu or a part <= 0, --g < 0, an unstable (g, n), bm --x-order < 1,
 a --grid below 3g - 2 + n, --holdout < 1, a negative fock --kmax or --cutoff,
-a negative curve --order, a malformed cache file, a cache path that is a
-directory or lies in a missing one) is a usage error: exit 2 before any
-campaign runs.
+a negative curve --order, a malformed cache file or one that contradicts
+itself, a cache path that is a directory or lies in a missing one) is a
+usage error: exit 2 before any campaign runs.
 An A-correlator that differs between its two cutoffs exits 2, and a fit that
 misses a holdout point exits 1, each with one line on stderr.
 ``hurwitz`` compares the character value with the cut-and-join table, which

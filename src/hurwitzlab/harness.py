@@ -42,6 +42,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _first_mismatch(points, route_a: str, route_b: str):
+    """True if a == b at every (where, a, b) of ``points``; else the row text
+    naming the first point where the two routes differ, and both values."""
+    for where, a, b in points:
+        if a != b:
+            return f"mismatch at {where}: {route_a} {_fmt(a)}, {route_b} {_fmt(b)}"
+    return True
+
+
+def _poly_points(p, q):
+    """(t^e, p_e, q_e) over the sorted union of the exponents of two
+    polynomials."""
+    return ((f"t^{e}", p.coeff(e), q.coeff(e)) for e in sorted(p.terms.keys() | q.terms.keys()))
+
+
 def check(name: str, ref: str, lhs, rhs, status=None) -> dict:
     if status is None:
         status = "pass" if lhs == rhs else "fail"
@@ -123,11 +138,12 @@ def _sigma_rows(order: int) -> list:
 def campaign_curve(order: int = 12) -> list:
     from .lambert import lemma2_check
 
-    lem = lemma2_check(5, order)
+    poles = ((f"rho_{k}, w^{i}", c, 0)
+             for k, r in lemma2_check(5, order).items() for i, c in r["principal_part"].items())
     rho_row = check(
         "odd-principal-parts-rho",
         "rho_k symmetrization holomorphic at the branch point",
-        all(r["holomorphic_at_P"] for r in lem.values()),
+        _first_mismatch(poles, "symmetrized", "holomorphic"),
         True,
     )
     return _sigma_rows(order) + _r_matrix_rows() + [rho_row] + _bergman_rows()
@@ -173,13 +189,7 @@ def campaign_polyfit(g: int, n: int, grid_side=None, holdout: int = 2) -> list:
 
 
 def campaign_bm(g: int, n: int, x_order: int = 6) -> list:
-    from .bm import (
-        bm_vs_hurwitz,
-        three_forms_agree,
-        w_from_fit,
-        w_invariants,
-        w_poly,
-    )
+    from .bm import _w_form, bm_step, bm_vs_hurwitz, w_from_fit, w_invariants, w_poly
 
     checks = []
     inv = w_invariants(g, n)
@@ -188,20 +198,23 @@ def campaign_bm(g: int, n: int, x_order: int = 6) -> list:
     checks.append(
         check(f"w-divisible-{g}-{n}", "divisibility by t_i^2", inv["divisible_by_t_squared"], True)
     )
+    # the two residue forms w_poly does not use, against its cached value
+    w, form = w_poly(g, n), _w_form(g, n)
+    forms = ((f"{f} form, {where}", a, b) for f in ("zz", "zs", "ss") if f != form
+             for where, a, b in _poly_points(bm_step(g, n, f), w))
     checks.append(
         check(f"w-three-forms-{g}-{n}", "all residue argument conventions agree",
-              three_forms_agree(g, n), True)
+              _first_mismatch(forms, "step", "w_poly"), True)
     )
     checks.append(
         check(f"w-fit-reconstruction-{g}-{n}", "rho-basis reconstruction from the fit",
-              w_poly(g, n) == w_from_fit(g, n), True)
+              _first_mismatch(_poly_points(w, w_from_fit(g, n)), "residue", "fit"), True)
     )
     rep = bm_vs_hurwitz(g, n, x_order)
-    if rep["mismatch"] is None:
-        matched = rep["coefficients_checked"] > 0
-    else:
-        mg, mn, mu, got, expected = rep["mismatch"]
-        matched = f"mismatch at g={mg} n={mn} mu={mu}: got {got}, expected {expected}"
+    matched = rep["coefficients_checked"] > 0
+    if rep["mismatch"] is not None:
+        _, _, mu, got, expected = rep["mismatch"]
+        matched = _first_mismatch([(f"mu={mu}", got, expected)], "x-expansion", "Hurwitz")
     checks.append(
         check(f"w-x-expansion-{g}-{n}", "x-expansion matches connected Hurwitz data",
               matched, True)
@@ -219,27 +232,14 @@ def _elsv_rows(g: int, n: int, grid_side=None, holdout: int = 2) -> list:
 
     from .hodge import hodge_integral
 
-    checks = []
     fit = fit_P_polynomial(g, n, grid_side, holdout)
     deg = 3 * g - 3 + n
-    witness = None
-    for expts in iproduct(range(deg + 1), repeat=n):
-        if sum(expts) > deg:
-            continue
-        lhs = fit.poly.coeff(expts)
-        rhs = hodge_integral(g, expts)
-        if lhs != rhs:
-            witness = (expts, lhs, rhs)
-            break
-    checks.append(
-        check(
-            f"elsv-coefficients-{g}-{n}",
-            "fitted coefficients equal signed Hodge integrals",
-            True if witness is None else f"mismatch at {witness}",
-            True,
-        )
-    )
-    if witness is None:
+    coefficients = ((f"mu^{k}", fit.poly.coeff(k), hodge_integral(g, k))
+                    for k in iproduct(range(deg + 1), repeat=n) if sum(k) <= deg)
+    matched = _first_mismatch(coefficients, "fit", "Hodge")
+    checks = [check(f"elsv-coefficients-{g}-{n}", "fitted coefficients equal signed Hodge integrals",
+                    matched, True)]
+    if matched is True:
         sample = (deg,) + (0,) * (n - 1)
         checks.append(
             check(f"elsv-top-coefficient-{g}-{n}", "top psi coefficient",
@@ -251,27 +251,21 @@ def _elsv_rows(g: int, n: int, grid_side=None, holdout: int = 2) -> list:
 def campaign_fock(u_order: int = 1, kmax: int = 3, cutoff: int = 7) -> list:
     from .fock import a_commutator_suite, a_correlator, h_from_a_correlator, vev_hurwitz
 
-    checks = []
-    agree = True
-    for d in range(1, 7):
-        for mu in enumerate_partitions(d):
-            for b in range(0, 7):
-                g2 = b - d - len(mu) + 2
-                if g2 < 0 or g2 % 2:
-                    continue
-                if vev_hurwitz(g2 // 2, mu) != disconnected_by_b(mu, b):
-                    agree = False
-    checks.append(
-        check("wedge-vs-character", "vacuum expectations reproduce character sums", agree, True)
+    vevs = (
+        (f"mu={list(mu)}, b={b}", vev_hurwitz(g2 // 2, mu), disconnected_by_b(mu, b))
+        for d in range(1, 7)
+        for mu in enumerate_partitions(d)
+        for b in range(0, 7)
+        if (g2 := b - d - len(mu) + 2) >= 0 and g2 % 2 == 0
     )
+    checks = [check("wedge-vs-character", "vacuum expectations reproduce character sums",
+                    _first_mismatch(vevs, "wedge", "character"), True)]
     for m in range(1, 7):
         got = a_correlator((m,), 1)
-        ok = (
-            got.coeff(-1) == Fraction(1, m)
-            and got.coeff(0) == 0
-            and got.coeff(1) == Fraction(m * (m - 1), 24)
-        )
-        checks.append(check(f"one-point-expansion-z{m}", "printed one-point terms", ok, True))
+        printed = {-1: Fraction(1, m), 0: 0, 1: Fraction(m * (m - 1), 24)}
+        terms = ((f"u^{k}", got.coeff(k), want) for k, want in printed.items())
+        checks.append(check(f"one-point-expansion-z{m}", "printed one-point terms",
+                            _first_mismatch(terms, "correlator", "printed"), True))
     checks.append(
         check("two-point-genus0-(1,3)", "geometric-series value 3/4",
               _two_point_value(), Fraction(3, 4))
@@ -315,7 +309,8 @@ def _a_poly_row():
 
     rep = a_polynomiality_check(1, 1, 3, [(4,), (5,)])
     if rep["miss"] is not None:
-        return "fails at holdout {}: fit {}, data {}".format(*rep["miss"])
+        point, fit, data = rep["miss"]
+        return _first_mismatch([(f"holdout {point}", fit, data)], "fit", "data")
     return rep["symmetric"]
 
 
@@ -331,12 +326,9 @@ def campaign_cutjoin() -> list:
     checks = []
     for (g, n) in CUTJOIN_SET:
         rep = cutjoin_t_check(g, n)
-        got = rep["identity"]
-        if got == "fails":
-            got = "fails at t^{}: lhs {}, rhs {}".format(*rep["witness"])
-        checks.append(
-            check(f"cutjoin-identity-{g}-{n}", "cut-and-join polynomial identity", got, "holds")
-        )
+        got = _first_mismatch(_poly_points(rep["lhs"], rep["rhs"]), "lhs", "rhs")
+        checks.append(check(f"cutjoin-identity-{g}-{n}", "cut-and-join polynomial identity",
+                            "holds" if got is True else got, "holds"))
     return checks
 
 
@@ -347,41 +339,27 @@ def _r_matrix_rows() -> list:
     from .hodge import r_from_curve, r_hodge
 
     a, b = r_from_curve(8), r_hodge(8)
-    checks = [
-        check("r-equality-z8", "curve route equals Bernoulli exponential",
-              all(a.coeff(k) == b.coeff(k) for k in range(9)), True)
-    ]
+    terms = ((f"z^{k}", a.coeff(k), b.coeff(k)) for k in range(9))
+    checks = [check("r-equality-z8", "curve route equals Bernoulli exponential",
+                    _first_mismatch(terms, "curve", "Bernoulli"), True)]
     for k, val in {1: Fraction(1, 12), 2: Fraction(1, 288), 3: Fraction(-139, 51840)}.items():
         checks.append(check(f"r-z{k}", "printed values", a.coeff(k), val))
     return checks
 
 
 def _hurwitz_route_rows() -> list:
-    checks = []
     table = _cutjoin_table()
-    witness = next(
-        (
-            f"mismatch at mu={list(mu)}, b={b}: cut-and-join {table[(mu, b)]}, character {char}"
-            for d in range(1, 7)
-            for mu in enumerate_partitions(d)
-            for b in range(0, 9)
-            if table[(mu, b)] != (char := disconnected_by_b(mu, b))
-        ),
-        True,
-    )
-    checks.append(check("cutjoin-vs-character", "disconnected tables agree", witness, True))
-    witness = next(
-        (
-            f"mismatch at g={g}, mu={list(mu)}: brute {brute}, character {h_connected(g, mu)}"
-            for d in range(1, 7)
-            for mu in enumerate_partitions(d)
-            for g in range(0, 5)
-            if branch_count(g, mu) <= 8
-            and (brute := h_bruteforce(g, mu)) != h_connected(g, mu)
-        ),
-        True,
-    )
-    checks.append(check("brute-vs-character", "connected numbers agree", witness, True))
+    partitions = [mu for d in range(1, 7) for mu in enumerate_partitions(d)]
+    disconnected = ((f"mu={list(mu)}, b={b}", table[(mu, b)], disconnected_by_b(mu, b))
+                    for mu in partitions for b in range(0, 9))
+    connected = ((f"g={g}, mu={list(mu)}", h_bruteforce(g, mu), h_connected(g, mu))
+                 for mu in partitions for g in range(0, 5) if branch_count(g, mu) <= 8)
+    checks = [
+        check("cutjoin-vs-character", "disconnected tables agree",
+              _first_mismatch(disconnected, "cut-and-join", "character"), True),
+        check("brute-vs-character", "connected numbers agree",
+              _first_mismatch(connected, "brute", "character"), True),
+    ]
     checks.append(check("spot-h-1-(2)", "transposition cube", h_connected(1, (2,)), Fraction(1, 2)))
     checks.append(check("spot-h-0-(1,1,1)", "degree-3 base", h_connected(0, (1, 1, 1)), 24))
     for a in range(1, 7):
@@ -393,17 +371,12 @@ def _hurwitz_route_rows() -> list:
 
 
 def _projection_row(g: int, n: int) -> dict:
-    """The odd-projection route to W_{g,n} against the residue route; a
-    mismatch names the first differing exponent and both coefficients."""
+    """The odd-projection route to W_{g,n} against the residue route."""
     from .bm import bm_step_projection, w_poly
 
-    proj, res = bm_step_projection(g, n), w_poly(g, n)
-    diff = sorted(e for e in proj.terms.keys() | res.terms.keys() if proj.coeff(e) != res.coeff(e))
-    witness = True
-    if diff:
-        e = diff[0]
-        witness = f"mismatch at t^{e}: projection {proj.coeff(e)}, residue {res.coeff(e)}"
-    return check(f"w-projection-g{g}-n{n}", "odd-projection route vs residue route", witness, True)
+    points = _poly_points(bm_step_projection(g, n), w_poly(g, n))
+    return check(f"w-projection-g{g}-n{n}", "odd-projection route vs residue route",
+                 _first_mismatch(points, "projection", "residue"), True)
 
 
 def _bm_rows() -> list:
@@ -418,12 +391,16 @@ def _bm_rows() -> list:
         1,
         {(5,): Fraction(-3, 24), (4,): Fraction(-5, 24), (3,): Fraction(-1, 24), (2,): Fraction(1, 24)},
     )
-    checks.append(check("w-1-1-closed-form", "frozen value", w_poly(1, 1) == w11, True))
+    checks.append(check("w-1-1-closed-form", "frozen value",
+                        _first_mismatch(_poly_points(w_poly(1, 1), w11), "residue", "closed form"),
+                        True))
     w03 = MultiPoly.const(3, -1)
     for i in range(3):
         v = MultiPoly.var(3, i)
         w03 = w03 * (v**2 * (1 + v))
-    checks.append(check("w-0-3-closed-form", "frozen value", w_poly(0, 3) == w03, True))
+    checks.append(check("w-0-3-closed-form", "frozen value",
+                        _first_mismatch(_poly_points(w_poly(0, 3), w03), "residue", "closed form"),
+                        True))
     return checks
 
 

@@ -431,8 +431,8 @@ class HurwitzTable:
 
     @staticmethod
     def from_json(rows) -> "HurwitzTable":
-        """The table of ``to_json`` rows; a malformed row raises ValueError
-        naming it, a row that conflicts with another raises ConflictError."""
+        """The table of ``to_json`` rows; a malformed row, or one that
+        contradicts itself or an earlier row, raises ValueError naming it."""
         if not isinstance(rows, list):
             raise ValueError("expected a JSON list of rows")
         table = HurwitzTable()
@@ -441,12 +441,12 @@ class HurwitzTable:
                 g, mu = int(row["g"]), check_partition(row["mu"])
                 value, b = rational_from_str(row["value"]), int(row["b"])
                 routes = str(row["route"]).split("+")
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                if branch_count(g, mu) != b:
+                    raise ValueError(f"b is {branch_count(g, mu)} for this (g, mu)")
+                for route in routes:
+                    table.insert(g, mu, value, route)
+            except (KeyError, TypeError, ValueError, ZeroDivisionError, ConflictError) as exc:
                 raise ValueError(f"row {i} {json.dumps(row)}: {exc!r}") from None
-            for route in routes:
-                table.insert(g, mu, value, route)
-            if branch_count(g, mu) != b:
-                raise ConflictError(f"inconsistent b field in row {row}")
         return table
 
     def save(self, path):

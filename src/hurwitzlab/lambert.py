@@ -158,7 +158,8 @@ def odd_projection(f: Series, order: int) -> dict[int, object]:
 
 
 def lemma2_check(k_max: int, order: int) -> dict:
-    """Check rho_k(t) + rho_k(sigma-tilde(t)) has no pole at P for k <= k_max.
+    """Check rho_k(t) + rho_k(sigma-tilde(t)) has no pole at P for k <= k_max;
+    ``principal_part`` maps each negative power of w = 1/t to its coefficient.
 
     rho_k has degree 2k+1, and sigma^-m is known through z^(N-1-m) for sigma
     through z^N, so z^-1 at m = 2k+1 needs the least order N = 2k+1."""
@@ -167,12 +168,8 @@ def lemma2_check(k_max: int, order: int) -> dict:
     for k in range(k_max + 1):
         f = poly_to_w_laurent(rho_poly(k), order)
         sym = f + f.compose(sig)
-        bad = [
-            i
-            for i in range(f.low, 0)
-            if not (isinstance(sym.coeff(i), (int, Fraction)) and sym.coeff(i) == 0)
-        ]
-        results[k] = {"holomorphic_at_P": not bad, "offending_powers": [-i for i in bad]}
+        principal = {i: sym.coeff(i) for i in range(f.low, 0)}
+        results[k] = {"holomorphic_at_P": not any(principal.values()), "principal_part": principal}
     return results
 
 

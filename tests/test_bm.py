@@ -5,12 +5,12 @@ import pytest
 
 from hurwitzlab import bm, harness
 from hurwitzlab.bm import (
+    bm_step,
     bm_step_projection,
     bm_vs_hurwitz,
     cutjoin_t_check,
     d1d2_h02_diagonal,
     h_poly_from_fit,
-    three_forms_agree,
     w_from_fit,
     w_invariants,
     w_poly,
@@ -101,7 +101,7 @@ def test_power_table_evaluation_at_two_tables():
 
 def test_three_forms_agree_small():
     for (g, n) in ACCEPTANCE_SET:
-        assert three_forms_agree(g, n), (g, n)
+        assert all(bm_step(g, n, form) == w_poly(g, n) for form in ("zz", "zs", "ss")), (g, n)
 
 
 def test_overlap_residue_matches_product_residue():
@@ -166,7 +166,7 @@ def test_x_expansion_mismatch_is_a_fail_row(monkeypatch):
     rows = {row["name"]: row for row in harness.campaign_bm(0, 3, 2)}
     row = rows["w-x-expansion-0-3"]
     assert row["status"] == "fail"
-    assert row["lhs"] == "mismatch at g=0 n=3 mu=(1, 1, 1): got 1, expected 7/24"
+    assert row["lhs"] == "mismatch at mu=(1, 1, 1): x-expansion 1, Hurwitz 7/24"
     assert all(r["status"] == "pass" for name, r in rows.items() if name != row["name"])
 
 
@@ -265,7 +265,7 @@ def test_cutjoin_mismatch_is_a_fail_row(monkeypatch):
     e = min(diag.terms)
     assert row["status"] == "fail"
     want = lhs.coeff(e) + diag.coeff(e) / 2
-    assert row["lhs"] == f"fails at t^{e}: lhs {lhs.coeff(e)}, rhs {want}"
+    assert row["lhs"] == f"mismatch at t^{e}: lhs {lhs.coeff(e)}, rhs {want}"
     others = [r for name, r in rows.items() if name != row["name"]]
     assert len(others) == 3 and all(r["status"] == "pass" and r["lhs"] == "holds" for r in others)
 

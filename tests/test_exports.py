@@ -108,6 +108,23 @@ def _writes_to_terms(path: Path) -> list:
     return lines
 
 
+def _functions_quoting(path: Path, text: str) -> list:
+    """The innermost function around each string literal of ``path`` that
+    contains ``text`` (f-string pieces included); "<module>" outside any."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value:
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return found
+
+
 def _exported():
     """(module name, exported name, object) for every public export."""
     modules = [hurwitzlab] + [
@@ -150,3 +167,11 @@ def test_only_multipoly_writes_polynomial_terms():
     writes = {path.name: lines for path in _program_files()
               if path != PACKAGE / "multipoly.py" and (lines := _writes_to_terms(path))}
     assert not writes, writes
+
+
+def test_one_function_writes_the_mismatch_text():
+    # every route comparison names its first mismatch through
+    # harness._first_mismatch; a second witness formatter shows up here
+    found = [(path.name, where) for path in _program_files()
+             for where in _functions_quoting(path, "mismatch at")]
+    assert found == [("harness.py", "_first_mismatch")], found

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzlab import harness, hurwitz
+from hurwitzlab import bm, fock, harness, hodge, hurwitz, lambert
 from hurwitzlab.cli import main
 from hurwitzlab.hurwitz import ConflictError, HurwitzTable
+from hurwitzlab.multipoly import MultiPoly
+from hurwitzlab.series import Series
 
 
 def test_report_schema_and_status():
@@ -188,12 +190,17 @@ def test_cli_bad_input_is_a_usage_error(argv, capsys):
         ('[{"g": 0, "mu": [0], "b": 1, "value": "4", "route": "character"}]', "row 0"),
         ('[{"g": 0, "mu": [2, 1], "b": 3, "value": "1/0", "route": "character"}]', "row 0"),
         ("3", "list of rows"),
+        ('[{"g": 0, "mu": [2, 1], "b": 9, "value": "1", "route": "character"}]', "row 0"),
+        ('[{"g": 0, "mu": [2, 1], "b": 3, "value": "1", "route": "character"},'
+         ' {"g": 0, "mu": [2, 1], "b": 3, "value": "2", "route": "brute"}]', "row 1"),
     ],
 )
 @pytest.mark.parametrize("via_env", [False, True])
 def test_cli_malformed_cache_is_a_usage_error(text, where, via_env, tmp_path, monkeypatch, capsys):
     # not JSON, a row without its route, a row with a part 0, a row whose
-    # value divides by zero, and JSON that is not a list of rows
+    # value divides by zero, JSON that is not a list of rows, a row whose b
+    # is not the branch count of its (g, mu), and two rows with different
+    # values for one (g, mu)
     path = tmp_path / "cache.json"
     path.write_text(text)
     monkeypatch.delenv("HURWITZLAB_CACHE", raising=False)
@@ -286,7 +293,7 @@ def test_correlator_polynomiality_row_names_its_holdout_witness(monkeypatch):
     rows = {row["name"]: row for row in harness.campaign_fock(1, 1, 5)}
     row = rows["correlator-polynomiality-1pt"]
     assert row["status"] == "fail"
-    assert row["lhs"] == "fails at holdout (4,): fit 58, data 64"
+    assert row["lhs"] == "mismatch at holdout (4,): fit 58, data 64"
 
 
 def test_elsv_row_names_the_first_mismatch(monkeypatch):
@@ -304,7 +311,8 @@ def test_elsv_row_names_the_first_mismatch(monkeypatch):
     row = rows["elsv-coefficients-1-2"]
     lhs = hurwitz.fit_P_polynomial(1, 2).poly.coeff((0, 2))
     assert row["status"] == "fail"
-    assert row["lhs"] == f"mismatch at {((0, 2), lhs, real(1, (0, 2)) + 1)}"
+    assert row["lhs"] == f"mismatch at mu^(0, 2): fit {lhs}, Hodge {real(1, (0, 2)) + 1}"
+    assert "Fraction(" not in row["lhs"]
     assert "elsv-top-coefficient-1-2" not in rows
 
 
@@ -354,3 +362,70 @@ def test_projection_row_names_the_first_mismatch(monkeypatch):
     assert (row["status"], row["lhs"]) == (
         "fail", "mismatch at t^(3,): projection 23/24, residue -1/24"
     )
+
+
+def _plus(monkeypatch, module, name, extra):
+    """Replace the route ``module.name`` by itself plus ``extra(*args)``."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: real(*args) + extra(*args))
+
+
+def _wrong_w(monkeypatch, g, n, others):
+    """A residue-route W_{g,n} with an extra t_1; criterion 6 then runs only
+    the campaigns of ``others``, none of which reads W_{g,n}."""
+    monkeypatch.setattr(harness, "ACCEPTANCE_SET", others)
+    monkeypatch.setitem(bm._W_CACHE, (g, n), bm.w_poly(g, n) + MultiPoly.var(n, 0))
+
+
+def _wrong_ss_step(monkeypatch):
+    _plus(monkeypatch, bm, "bm_step", lambda g, n, form: MultiPoly.var(n, 0) if form == "ss" else 0)
+
+
+# one entry per route comparison that names its first mismatch: the wrong
+# route, the campaign holding the row, and the row's expected lhs
+ROUTE_MUTATIONS = [
+    ("w-three-forms-0-3", _wrong_ss_step, lambda: harness.campaign_bm(0, 3, 2),
+     "mismatch at ss form, t^(1, 0, 0): step 1, w_poly 0"),
+    ("w-fit-reconstruction-0-3",
+     lambda mp: _plus(mp, bm, "w_from_fit", lambda g, n: MultiPoly.var(n, 0)),
+     lambda: harness.campaign_bm(0, 3, 2), "mismatch at t^(1, 0, 0): residue 0, fit 1"),
+    ("w-1-1-closed-form", lambda mp: _wrong_w(mp, 1, 1, [(0, 3)]), harness._bm_rows,
+     "mismatch at t^(1,): residue 1, closed form 0"),
+    ("w-0-3-closed-form", lambda mp: _wrong_w(mp, 0, 3, [(1, 1)]), harness._bm_rows,
+     "mismatch at t^(1, 0, 0): residue 1, closed form 0"),
+    ("r-equality-z8",
+     lambda mp: _plus(mp, hodge, "r_hodge", lambda order: Series(3, [Fraction(1)], order)),
+     harness._r_matrix_rows, "mismatch at z^3: curve -139/51840, Bernoulli 51701/51840"),
+    ("wedge-vs-character",
+     lambda mp: _plus(mp, fock, "vev_hurwitz", lambda g, mu: int((g, mu) == (0, (2, 1)))),
+     lambda: harness.campaign_fock(1, 1, 5),
+     "mismatch at mu=[2, 1], b=3: wedge 11/2, character 9/2"),
+    # a_correlator at u-order 1 is read by the one-point rows alone
+    ("one-point-expansion-z3",
+     lambda mp: _plus(mp, fock, "a_correlator", lambda mu, u: Series(1, [Fraction(1)], u)
+                      if (mu, u) == ((3,), 1) else 0),
+     lambda: harness.campaign_fock(1, 1, 5), "mismatch at u^1: correlator 5/4, printed 1/4"),
+    ("odd-principal-parts-rho",
+     lambda mp: _plus(mp, lambert, "rho_poly", lambda k: MultiPoly.var(1, 0, 2) if k == 2 else 0),
+     lambda: harness.campaign_curve(12), "mismatch at rho_2, w^-2: symmetrized 2, holomorphic 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, mutate, campaign, lhs", ROUTE_MUTATIONS, ids=[entry[0] for entry in ROUTE_MUTATIONS]
+)
+def test_route_comparison_names_its_first_mismatch(monkeypatch, name, mutate, campaign, lhs):
+    mutate(monkeypatch)
+    rows = {row["name"]: row for row in campaign()}
+    assert (rows[name]["status"], rows[name]["lhs"], rows[name]["rhs"]) == ("fail", lhs, "true")
+    assert [other for other, row in rows.items() if row["status"] != "pass"] == [name]
+
+
+def test_cli_bm_mismatch_is_a_fail_row(monkeypatch, capsys):
+    _wrong_ss_step(monkeypatch)
+    assert main(["bm", "--g", "0", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    failed = [(row["name"], row["lhs"]) for row in json.loads(captured.out)["checks"]
+              if row["status"] != "pass"]
+    assert failed == [("w-three-forms-0-3", "mismatch at ss form, t^(1, 0, 0): step 1, w_poly 0")]
