@@ -1,9 +1,11 @@
 """Polynomiality of scaled Hurwitz numbers.
 
 Dividing h(g; mu) by b! prod mu_i^{mu_i}/mu_i! leaves a symmetric
-polynomial P_{g,n}(mu_1..mu_n).  The fits below interpolate it from exact
-values on an integer grid and verify extra points exactly; a single
-holdout mismatch would disprove polynomiality at this (g, n).
+polynomial P_{g,n}(mu_1..mu_n) of total degree at most D = 3g - 3 + n.
+The fits below interpolate it in total degree D + 1 from exact values on
+the simplex {mu >= 1 : sum(mu_i - 1) <= D + 1} and verify extra points
+exactly; a single holdout mismatch would disprove polynomiality at this
+(g, n), and a fit of degree D + 1 would break the bound.
 """
 
 from hurwitzlab.hurwitz import fit_P_polynomial, hurwitz_scaled_value
@@ -16,7 +18,8 @@ for g, n in CASES:
     print(f"(g, n) = ({g}, {n})")
     print(f"  P = {fit.poly!r}")
     print(
-        f"  grid {rep['grid_side']}^{n}, total degree {rep['total_degree']}"
+        f"  fit degree {rep['fit_degree']} on {rep['points']} points,"
+        f" total degree {rep['total_degree']}"
         f" (bound {rep['degree_bound']}), symmetric: {rep['symmetric']},"
         f" holdout exact: {rep['holdout_ok']}"
     )

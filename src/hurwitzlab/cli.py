@@ -4,10 +4,13 @@ Subcommands: hurwitz, polyfit, bm, elsv, fock, curve, all.  Every run writes
 a JSON (or CSV) report and exits 0 only if all checks passed, 1 on an
 identity failure, 2 when a truncation was too small to decide.  Bad input
 (an empty --mu or a part <= 0, --g < 0, an unstable (g, n), bm --x-order < 1,
-a --grid below 3g - 2 + n, --holdout < 1, a negative fock --kmax or --cutoff,
-a negative curve --order, a malformed cache file or one that contradicts
-itself, a cache path that is a directory or lies in a missing one) is a
-usage error: exit 2 before any campaign runs.
+--holdout < 1, a negative fock --kmax or --cutoff, a negative curve --order,
+a malformed cache file or one that contradicts itself, a cache path that is
+a directory or lies in a missing one) is a usage error: exit 2 before any
+campaign runs.
+``polyfit`` and ``elsv`` fit P_{g,n} in total degree 3g - 2 + n, one above
+the theorem's bound, on the simplex of points that fixes such a polynomial,
+and check it at --holdout further points.
 An A-correlator that differs between its two cutoffs exits 2, and a fit that
 misses a holdout point exits 1, each with one line on stderr.
 ``hurwitz`` compares the character value with the cut-and-join table, which
@@ -51,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polyfit", help="interpolate the scaled Hurwitz polynomial")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--holdout", type=int, default=2)
 
     p = sub.add_parser("bm", help="kernel-residue recursion checks")
@@ -62,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("elsv", help="fitted coefficients vs Hodge integrals")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--holdout", type=int, default=2)
 
     p = sub.add_parser("fock", help="wedge-space operator checks")
@@ -87,12 +88,8 @@ def main(argv=None) -> int:
         parser.error(f"(g, n) = ({args.g}, {args.n}) needs n >= 1 and 2g - 2 + n > 0")
     if args.command == "bm" and args.x_order < 1:
         parser.error(f"--x-order must be at least 1, got {args.x_order}")
-    if args.command in ("polyfit", "elsv"):
-        least = 3 * args.g - 2 + args.n
-        if args.grid is not None and args.grid < least:
-            parser.error(f"--grid must be at least 3g - 2 + n = {least}, got {args.grid}")
-        if args.holdout < 1:
-            parser.error(f"--holdout must be at least 1, got {args.holdout}")
+    if args.command in ("polyfit", "elsv") and args.holdout < 1:
+        parser.error(f"--holdout must be at least 1, got {args.holdout}")
     if args.command == "fock" and min(args.kmax, args.cutoff) < 0:
         parser.error(f"--kmax and --cutoff must be nonnegative, got {args.kmax}, {args.cutoff}")
     if args.command == "curve" and args.order < 0:
@@ -110,11 +107,11 @@ def main(argv=None) -> int:
             value = table.get(args.g, tuple(sorted(args.mu, reverse=True)))
             print(rational_to_str(value), file=sys.stderr)
         elif args.command == "polyfit":
-            checks = harness.campaign_polyfit(args.g, args.n, args.grid, args.holdout)
+            checks = harness.campaign_polyfit(args.g, args.n, args.holdout)
         elif args.command == "bm":
             checks = harness.campaign_bm(args.g, args.n, args.x_order)
         elif args.command == "elsv":
-            checks = harness.campaign_elsv(args.g, args.n, args.grid, args.holdout)
+            checks = harness.campaign_elsv(args.g, args.n, args.holdout)
         elif args.command == "fock":
             checks = harness.campaign_fock(args.order, args.kmax, args.cutoff)
         elif args.command == "curve":

@@ -329,8 +329,9 @@ def a_connected(mu, u_order: int) -> Series:
     return connected_from_disconnected(disc, range(n)).truncate(u_order)
 
 
-def a_polynomiality_check(n: int, k: int, grid_side: int, holdout_points) -> dict:
-    """Interpolate [u^k] of the connected correlator over an integer grid.
+def a_polynomiality_check(n: int, k: int, degree: int, holdout_points) -> dict:
+    """Fit [u^k] of the connected correlator in total ``degree`` on the
+    simplex of ``hurwitz.simplex_interpolate``.
 
     The coefficient divided by the product of the arguments extends to a
     symmetric polynomial away from the unstable pairs (1,-1) and (2,0); the
@@ -339,7 +340,7 @@ def a_polynomiality_check(n: int, k: int, grid_side: int, holdout_points) -> dic
     """
     if (n, k) in ((1, -1), (2, 0)):
         raise ValueError("unstable pair excluded from the polynomiality check")
-    from .hurwitz import grid_interpolate
+    from .hurwitz import simplex_interpolate
 
     def value(pt):
         conn = a_connected(tuple(pt), max(k, 0) + 1)
@@ -348,7 +349,7 @@ def a_polynomiality_check(n: int, k: int, grid_side: int, holdout_points) -> dic
             val /= z
         return val
 
-    poly, miss = grid_interpolate(n, grid_side, value, holdout_points)
+    poly, miss = simplex_interpolate(n, degree, value, holdout_points)
     return {
         "n": n,
         "k": k,

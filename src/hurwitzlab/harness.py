@@ -20,6 +20,7 @@ from .hurwitz import (
     HurwitzTable,
     ResourceGuardError,
     _cutjoin_table,
+    _simplex,
     branch_count,
     disconnected_by_b,
     fit_P_polynomial,
@@ -176,8 +177,8 @@ def campaign_hurwitz(g: int, mu, table: HurwitzTable | None = None) -> list:
     return checks
 
 
-def campaign_polyfit(g: int, n: int, grid_side=None, holdout: int = 2) -> list:
-    fit = fit_P_polynomial(g, n, grid_side, holdout)
+def campaign_polyfit(g: int, n: int, holdout: int = 2) -> list:
+    fit = fit_P_polynomial(g, n, holdout)
     rep = fit.report
     return [
         check(f"fit-symmetric-{g}-{n}", "fitted polynomial symmetry", rep["symmetric"], True),
@@ -222,20 +223,18 @@ def campaign_bm(g: int, n: int, x_order: int = 6) -> list:
     return checks
 
 
-def campaign_elsv(g: int, n: int, grid_side=None, holdout: int = 2) -> list:
-    return campaign_polyfit(g, n, grid_side, holdout) + _elsv_rows(g, n, grid_side, holdout)
+def campaign_elsv(g: int, n: int, holdout: int = 2) -> list:
+    return campaign_polyfit(g, n, holdout) + _elsv_rows(g, n, holdout)
 
 
-def _elsv_rows(g: int, n: int, grid_side=None, holdout: int = 2) -> list:
+def _elsv_rows(g: int, n: int, holdout: int = 2) -> list:
     """Fitted coefficients of P_{g,n} against the signed Hodge integrals."""
-    from itertools import product as iproduct
-
     from .hodge import hodge_integral
 
-    fit = fit_P_polynomial(g, n, grid_side, holdout)
+    fit = fit_P_polynomial(g, n, holdout)
     deg = 3 * g - 3 + n
     coefficients = ((f"mu^{k}", fit.poly.coeff(k), hodge_integral(g, k))
-                    for k in iproduct(range(deg + 1), repeat=n) if sum(k) <= deg)
+                    for k in _simplex(n, deg))
     matched = _first_mismatch(coefficients, "fit", "Hodge")
     checks = [check(f"elsv-coefficients-{g}-{n}", "fitted coefficients equal signed Hodge integrals",
                     matched, True)]
@@ -307,7 +306,7 @@ def _a_poly_row():
     holdout mismatch names the point and both values."""
     from .fock import a_polynomiality_check
 
-    rep = a_polynomiality_check(1, 1, 3, [(4,), (5,)])
+    rep = a_polynomiality_check(1, 1, 2, [(4,), (5,)])
     if rep["miss"] is not None:
         point, fit, data = rep["miss"]
         return _first_mismatch([(f"holdout {point}", fit, data)], "fit", "data")

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 from .multipoly import MultiPoly
@@ -441,6 +441,8 @@ class HurwitzTable:
                 g, mu = int(row["g"]), check_partition(row["mu"])
                 value, b = rational_from_str(row["value"]), int(row["b"])
                 routes = str(row["route"]).split("+")
+                if g < 0:
+                    raise ValueError(f"genus {g} is negative")
                 if branch_count(g, mu) != b:
                     raise ValueError(f"b is {branch_count(g, mu)} for this (g, mu)")
                 for route in routes:
@@ -488,52 +490,52 @@ def hurwitz_scaled_value(g: int, mu) -> Fraction:
     return h_connected(g, mu) / scale
 
 
-def _lagrange_basis(s: int):
-    """Coefficient lists of the Lagrange basis on nodes 1..s."""
-    basis = []
-    for i in range(1, s + 1):
-        coeffs = [Fraction(1)]
-        den = 1
-        for j in range(1, s + 1):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(coeffs) + 1)
-            for k, c in enumerate(coeffs):
-                new[k + 1] += c
-                new[k] -= j * c
-            coeffs = new
-            den *= i - j
-        basis.append([c / den for c in coeffs])
-    return basis
+def _simplex(n: int, top: int) -> list:
+    """The exponents k in N^n with sum(k) <= top, in lexicographic order."""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(top + 1) for rest in _simplex(n - 1, top - k)]
 
 
-def grid_interpolate(n: int, s: int, value_fn, holdout_points):
-    """The polynomial of per-variable degree < s taking the values of
-    ``value_fn`` on the grid {1..s}^n (tensor-product Lagrange interpolation,
-    one axis at a time), checked exactly on ``holdout_points``.
+def _axis_pass(vals: dict, ax: int, top: int, matrix) -> dict:
+    """Apply the triangular ``matrix`` (out index, in index) along axis
+    ``ax`` of a function on the simplex of ``_simplex(n, top)``: each line
+    parallel to the axis, from k_ax = 0 to the simplex's face, on its own.
+    Triangular, so a line's image stays on the simplex."""
+    lines: dict[tuple, dict[int, Fraction]] = {}
+    for k, v in vals.items():
+        lines.setdefault(k[:ax] + k[ax + 1 :], {})[k[ax]] = v
+    out = {}
+    for rest, line in lines.items():
+        for r in range(top - sum(rest) + 1):
+            out[rest[:ax] + (r,) + rest[ax:]] = sum(matrix[r][i] * v for i, v in line.items())
+    return out
+
+
+def simplex_interpolate(n: int, top: int, value_fn, holdout_points):
+    """The polynomial of total degree <= ``top`` taking the values of
+    ``value_fn`` at 1 + k for every k in ``_simplex(n, top)``, a set
+    unisolvent for that degree (Chung-Yao), checked exactly on
+    ``holdout_points``.
+
+    Newton's forward-difference form: the differences c_k = Delta^k f(1..1),
+    taken one axis at a time, give f = sum_k c_k prod_i C(mu_i - 1, k_i),
+    expanded to monomials one axis at a time.  Both passes are triangular
+    1-D maps, applied by ``_axis_pass``.
 
     Returns (poly, miss): ``miss`` is the first (point, fit value, data
     value) that disagrees, or None.
     """
-    basis = _lagrange_basis(s)
-    vals = {pt: value_fn(pt) for pt in product(range(1, s + 1), repeat=n)}
-    for ax in range(n):
-        nxt = {}
-        groups: dict[tuple, dict[int, Fraction]] = {}
-        for pt, v in vals.items():
-            rest = pt[:ax] + pt[ax + 1 :]
-            groups.setdefault(rest, {})[pt[ax]] = v
-        for rest, column in groups.items():
-            coeffs = [Fraction(0)] * s
-            for node, v in column.items():
-                if not v:
-                    continue
-                for k, bc in enumerate(basis[node - 1]):
-                    coeffs[k] += v * bc
-            for k, c in enumerate(coeffs):
-                if c:
-                    nxt[rest[:ax] + (k,) + rest[ax:]] = c
-        vals = nxt
+    diff = [[comb(j, i) * (-1) ** (i + j) for i in range(top + 1)] for j in range(top + 1)]
+    binom = [[Fraction(1)]]  # coefficients of C(x - 1, j) in x
+    for j in range(top):
+        shifted = [Fraction(0)] + binom[j]
+        binom.append([(a - (j + 1) * b) / (j + 1) for a, b in zip(shifted, binom[j] + [0])])
+    expand = [[binom[j][p] if p <= j else 0 for j in range(top + 1)] for p in range(top + 1)]
+    vals = {k: value_fn(tuple(1 + ki for ki in k)) for k in _simplex(n, top)}
+    for matrix in (diff, expand):
+        for ax in range(n):
+            vals = _axis_pass(vals, ax, top, matrix)
     poly = MultiPoly(n, vals)
     for pt in holdout_points:
         got, expected = poly.eval(pt), value_fn(pt)
@@ -545,27 +547,25 @@ def grid_interpolate(n: int, s: int, value_fn, holdout_points):
 _FIT_CACHE: dict = {}
 
 
-def fit_P_polynomial(g: int, n: int, grid_side=None, holdout: int = 2) -> PPoly:
-    """Interpolate P_{g,n} on an integer grid and verify it on holdout points.
+def fit_P_polynomial(g: int, n: int, holdout: int = 2) -> PPoly:
+    """Fit P_{g,n} in total degree D + 1 on the simplex, D = 3g - 3 + n,
+    and verify it on the holdout points (D + 2 + j,) * n, j = 1..holdout.
 
-    A holdout mismatch is disproof-grade and raises PolynomialityError.
-    Degree-bound violations are recorded in the report, not hidden.
+    The polynomiality theorem bounds the degree by D; the extra layer keeps
+    the degree bound a check, recorded in the report, not hidden.  A
+    holdout mismatch is disproof-grade and raises PolynomialityError.
     """
     if (g, n) in ((0, 1), (0, 2)):
         raise ValueError("unstable (g, n) has no polynomial form")
     deg_bound = 3 * g - 3 + n
-    if grid_side is None:
-        grid_side = 3 * g - 2 + n + 1
-    if grid_side < deg_bound + 1:
-        raise ValueError("grid side too small for the degree bound")
-    key = (g, n, grid_side, holdout)
+    key = (g, n, holdout)
     if key in _FIT_CACHE:
         return _FIT_CACHE[key]
-    poly, miss = grid_interpolate(
+    poly, miss = simplex_interpolate(
         n,
-        grid_side,
+        deg_bound + 1,
         lambda mu: hurwitz_scaled_value(g, tuple(sorted(mu, reverse=True))),
-        [(grid_side + j,) * n for j in range(1, holdout + 1)],
+        [(deg_bound + 2 + j,) * n for j in range(1, holdout + 1)],
     )
     if miss is not None:
         raise PolynomialityError(
@@ -574,7 +574,8 @@ def fit_P_polynomial(g: int, n: int, grid_side=None, holdout: int = 2) -> PPoly:
             )
         )
     report = {
-        "grid_side": grid_side,
+        "fit_degree": deg_bound + 1,
+        "points": comb(deg_bound + 1 + n, n),
         "total_degree": poly.total_degree(),
         "degree_bound": deg_bound,
         "symmetric": poly.is_symmetric(),
@@ -599,6 +600,6 @@ __all__ = [
     "HurwitzTable",
     "PPoly",
     "hurwitz_scaled_value",
-    "grid_interpolate",
+    "simplex_interpolate",
     "fit_P_polynomial",
 ]

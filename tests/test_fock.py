@@ -261,7 +261,7 @@ def test_symbolic_vacuum_expectation_printed():
 def test_a_correlator_polynomiality_one_point():
     from hurwitzlab.fock import a_polynomiality_check
 
-    rep = a_polynomiality_check(1, 1, 3, [(4,), (5,)])
+    rep = a_polynomiality_check(1, 1, 2, [(4,), (5,)])
     assert rep["symmetric"] and rep["miss"] is None
     assert rep["poly"].terms == {(0,): Fraction(-1, 24), (1,): Fraction(1, 24)}
 
@@ -272,7 +272,7 @@ def test_a_correlator_polynomiality_two_point():
     from hurwitzlab.fock import a_polynomiality_check
     from hurwitzlab.hurwitz import fit_P_polynomial
 
-    rep = a_polynomiality_check(2, 2, 3, [(4, 1)])
+    rep = a_polynomiality_check(2, 2, 2, [(4, 1)])
     assert rep["symmetric"] and rep["miss"] is None
     assert rep["poly"] == fit_P_polynomial(1, 2).poly
 
@@ -281,9 +281,9 @@ def test_unstable_pairs_rejected():
     from hurwitzlab.fock import a_polynomiality_check
 
     with pytest.raises(ValueError):
-        a_polynomiality_check(1, -1, 3, [])
+        a_polynomiality_check(1, -1, 2, [])
     with pytest.raises(ValueError):
-        a_polynomiality_check(2, 0, 3, [])
+        a_polynomiality_check(2, 0, 2, [])
 
 
 def test_commutator_identity_cases():

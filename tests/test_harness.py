@@ -167,8 +167,6 @@ def test_cli_bm_small(capsys):
         ["fock", "--kmax", "-1"],
         ["fock", "--cutoff", "-1"],
         ["bm", "--g", "0", "--n", "3", "--x-order", "0"],
-        ["polyfit", "--g", "1", "--n", "1", "--grid", "1"],
-        ["elsv", "--g", "1", "--n", "1", "--grid", "1"],
         ["polyfit", "--g", "0", "--n", "3", "--holdout", "0"],
         ["elsv", "--g", "0", "--n", "3", "--holdout", "-1"],
         ["curve", "--order", "-2"],
@@ -193,14 +191,15 @@ def test_cli_bad_input_is_a_usage_error(argv, capsys):
         ('[{"g": 0, "mu": [2, 1], "b": 9, "value": "1", "route": "character"}]', "row 0"),
         ('[{"g": 0, "mu": [2, 1], "b": 3, "value": "1", "route": "character"},'
          ' {"g": 0, "mu": [2, 1], "b": 3, "value": "2", "route": "brute"}]', "row 1"),
+        ('[{"g": -1, "mu": [2, 1], "b": 1, "value": "5", "route": "character"}]', "row 0"),
     ],
 )
 @pytest.mark.parametrize("via_env", [False, True])
 def test_cli_malformed_cache_is_a_usage_error(text, where, via_env, tmp_path, monkeypatch, capsys):
     # not JSON, a row without its route, a row with a part 0, a row whose
     # value divides by zero, JSON that is not a list of rows, a row whose b
-    # is not the branch count of its (g, mu), and two rows with different
-    # values for one (g, mu)
+    # is not the branch count of its (g, mu), two rows with different values
+    # for one (g, mu), and a row with a negative genus whose b matches
     path = tmp_path / "cache.json"
     path.write_text(text)
     monkeypatch.delenv("HURWITZLAB_CACHE", raising=False)
@@ -266,13 +265,14 @@ def test_cli_undecided_truncation_exits_2(monkeypatch, capsys):
 
 
 def test_cli_holdout_miss_exits_1(monkeypatch, capsys):
-    # scaled values polynomial on the grid {1..4} and broken at the holdout 5
+    # scaled values polynomial at the fit points 1..3 and the first holdout
+    # 4, and broken at the second holdout 5
     monkeypatch.setattr(
         hurwitz, "hurwitz_scaled_value",
         lambda g, mu: Fraction(0) if max(mu) <= 4 else Fraction(1),
     )
     monkeypatch.setattr(hurwitz, "_FIT_CACHE", {})
-    assert main(["polyfit", "--g", "1", "--n", "1", "--grid", "4", "--holdout", "1"]) == 1
+    assert main(["polyfit", "--g", "1", "--n", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -282,7 +282,7 @@ def test_cli_holdout_miss_exits_1(monkeypatch, capsys):
 
 def test_correlator_polynomiality_row_names_its_holdout_witness(monkeypatch):
     # a connected one-point correlator whose u^1 coefficient is mu^4: the
-    # divided value mu^3 is no quadratic on the grid {1, 2, 3}, whose fit
+    # divided value mu^3 is no quadratic on the fit points 1, 2, 3, whose fit
     # 6mu^2 - 11mu + 6 gives 58 at the first holdout point 4
     from hurwitzlab import fock
     from hurwitzlab.series import Series
@@ -298,7 +298,7 @@ def test_correlator_polynomiality_row_names_its_holdout_witness(monkeypatch):
 
 def test_elsv_row_names_the_first_mismatch(monkeypatch):
     # hodge_integral wrong at (0, 2) and (1, 0); the coefficients of P_{1,2}
-    # are read in product order, so (0, 2) is the witness
+    # are read in lexicographic order, so (0, 2) is the witness
     from hurwitzlab import hodge
 
     real = hodge.hodge_integral
@@ -314,6 +314,23 @@ def test_elsv_row_names_the_first_mismatch(monkeypatch):
     assert row["lhs"] == f"mismatch at mu^(0, 2): fit {lhs}, Hodge {real(1, (0, 2)) + 1}"
     assert "Fraction(" not in row["lhs"]
     assert "elsv-top-coefficient-1-2" not in rows
+
+
+def test_fit_degree_row_fails_on_data_of_degree_d_plus_1(monkeypatch, capsys):
+    # scaled values plus (mu_1 + mu_2)^(D + 1), D = 2: the fit in total
+    # degree D + 1 reproduces them at both holdouts, so only the degree row
+    # can see that they are no polynomial of degree D
+    _plus(monkeypatch, hurwitz, "hurwitz_scaled_value", lambda g, mu: sum(mu) ** 3)
+    monkeypatch.setattr(hurwitz, "_FIT_CACHE", {})
+    rows = {row["name"]: row["status"] for row in harness.campaign_polyfit(1, 2)}
+    assert rows == {"fit-symmetric-1-2": "pass", "fit-degree-1-2": "fail",
+                    "fit-holdout-1-2": "pass"}
+    monkeypatch.setattr(hurwitz, "_FIT_CACHE", {})
+    assert main(["polyfit", "--g", "1", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    failed = [row["name"] for row in json.loads(captured.out)["checks"] if row["status"] == "fail"]
+    assert failed == ["fit-degree-1-2"]
 
 
 @pytest.mark.parametrize(

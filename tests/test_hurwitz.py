@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -19,7 +20,9 @@ from hurwitzlab.hurwitz import (
     h_connected,
     h_connected_cutjoin,
     hurwitz_scaled_value,
+    simplex_interpolate,
 )
+from hurwitzlab.multipoly import MultiPoly
 from hurwitzlab.partitions import central_character_f2, dim_hook, enumerate_partitions
 
 
@@ -196,7 +199,7 @@ def test_fit_01_and_11():
     fit = fit_P_polynomial(0, 3)
     assert fit.poly.eval([1, 1, 1]) == 1
     assert fit.poly.total_degree() == 0
-    fit11 = fit_P_polynomial(1, 1, grid_side=4, holdout=2)
+    fit11 = fit_P_polynomial(1, 1)
     # P(mu) = (mu - 1)/24
     assert fit11.poly.coeff((0,)) == Fraction(-1, 24)
     assert fit11.poly.coeff((1,)) == Fraction(1, 24)
@@ -215,6 +218,30 @@ def test_fit_04_is_sum_of_parts():
     assert fit.report["symmetric"] and fit.report["total_degree_ok"]
 
 
+def test_simplex_interpolate_reproduces_random_polynomials():
+    # random polynomials of total degree <= top, symmetric or not, come back
+    # exactly; one datum changed at a holdout point is named with both values
+    rng = random.Random(21)
+    for _ in range(60):
+        n, top = rng.randint(1, 4), rng.randint(0, 4)
+        terms = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 for e in product(range(top + 1), repeat=n)
+                 if sum(e) <= top and rng.random() < 0.5}
+        poly = MultiPoly(n, terms)
+        # off the simplex of fit points: every part at least top + 2
+        holdouts = [tuple(rng.randint(top + 2, top + 6) for _ in range(n)) for _ in range(2)]
+        fit, miss = simplex_interpolate(n, top, poly.eval, holdouts)
+        assert fit == poly and miss is None
+        bad = holdouts[-1]
+
+        def changed(mu):
+            return poly.eval(mu) + (mu == bad)
+
+        assert simplex_interpolate(n, top, changed, holdouts)[1] == (
+            bad, poly.eval(bad), poly.eval(bad) + 1
+        )
+
+
 def test_fit_rejects_unstable():
     with pytest.raises(ValueError):
         fit_P_polynomial(0, 2)
@@ -224,10 +251,11 @@ def test_fit_detects_non_polynomial_data(monkeypatch):
     from hurwitzlab import hurwitz
 
     def fake(g, mu):
-        # polynomial on the grid, broken on the first holdout point
+        # polynomial at the fit points 1..3 and the first holdout point 4,
+        # broken on the second holdout point 5
         return Fraction(0) if max(mu) <= 4 else Fraction(1)
 
     monkeypatch.setattr(hurwitz, "hurwitz_scaled_value", fake)
     monkeypatch.setattr(hurwitz, "_FIT_CACHE", {})
     with pytest.raises(PolynomialityError, match=r"holdout \(5,\): poly gives 0, data gives 1"):
-        fit_P_polynomial(1, 1, grid_side=4, holdout=1)
+        fit_P_polynomial(1, 1)
