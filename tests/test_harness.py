@@ -167,6 +167,9 @@ def test_cli_bm_small(capsys):
         ["fock", "--kmax", "-1"],
         ["fock", "--cutoff", "-1"],
         ["bm", "--g", "0", "--n", "3", "--x-order", "0"],
+        # --grid is gone with the tensor-grid fit; argparse rejects it
+        ["polyfit", "--g", "1", "--n", "1", "--grid", "1"],
+        ["elsv", "--g", "1", "--n", "1", "--grid", "1"],
         ["polyfit", "--g", "0", "--n", "3", "--holdout", "0"],
         ["elsv", "--g", "0", "--n", "3", "--holdout", "-1"],
         ["curve", "--order", "-2"],
