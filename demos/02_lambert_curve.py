@@ -40,7 +40,7 @@ for k in range(0, 3):
 
 print()
 print("symmetrized rho_k have no pole at the branch point:")
-for k, rep in lemma2_check(4, 10).items():
+for k, rep in lemma2_check(4).items():
     print(f"  k={k}: holomorphic at P: {rep['holomorphic_at_P']}")
 
 print()

@@ -155,9 +155,6 @@ def _working_order(g: int, n: int) -> int:
     return max(2, 6 * g + 2 * n - 5)
 
 
-_W_CACHE: dict = {}
-
-
 def bm_step(g: int, n: int, form: str = "zz") -> MultiPoly:
     """One kernel-residue step producing W_{g,n} (stable (g,n) only).
 
@@ -193,6 +190,7 @@ def bm_step_projection(g: int, n: int) -> MultiPoly:
     return out
 
 
+@lru_cache(maxsize=None)
 def w_poly(g: int, n: int) -> MultiPoly:
     """The stable Hurwitz polynomial W_{g,n}, cached; (0,1) returns 0."""
     if (g, n) == (0, 1):
@@ -201,10 +199,7 @@ def w_poly(g: int, n: int) -> MultiPoly:
         raise ValueError("the two-point function is not polynomial")
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"unstable (g, n) = ({g}, {n})")
-    key = (g, n)
-    if key not in _W_CACHE:
-        _W_CACHE[key] = bm_step(g, n, _w_form(g, n))
-    return _W_CACHE[key]
+    return bm_step(g, n, _w_form(g, n))
 
 
 def _w_form(g: int, n: int) -> str:

@@ -50,45 +50,26 @@ def level_occupied(lam: Partition, khat: int) -> bool:
     return khat in _occ_window(lam, ell)
 
 
-def e_move(lam: Partition, jhat: int, ihat: int):
-    """Apply E_{i,j} (replace occupied level j by i); None if it annihilates.
-
-    Returns (new_partition, sign) with the fermionic reordering sign.
-    """
-    if not level_occupied(lam, jhat):
-        return None
-    if ihat == jhat:
-        return lam, 1
-    if level_occupied(lam, ihat):
-        return None
-    depth = len(lam) + (abs(ihat) + abs(jhat)) // 2 + 2
-    occ = _occ_window(lam, depth)
-    lo, hi = min(ihat, jhat), max(ihat, jhat)
-    sign = -1 if sum(1 for x in occ if lo < x < hi and x != jhat) % 2 else 1
-    occ[occ.index(jhat)] = ihat
-    occ.sort(reverse=True)
-    new = []
-    for i, level in enumerate(occ):
-        a, r = divmod(level + 2 * i + 1, 2)
-        assert r == 0
-        if a < 0:
-            return None  # outside any valid charge-zero state (cannot happen)
-        new.append(a)
-    while new and new[-1] == 0:
-        new.pop()
-    return tuple(new), sign
-
-
 def _e_moves(lam: Partition, k: int):
     """The moves of E_k on v_lam: yields (nu, sign, rate), one per occupied
     level jh that can drop to jh - 2k, with rate = (jh - k)/2 the exponent of
-    its weight e^{rate x} in E_k(x).  Every nu has energy |lam| - k."""
-    depth = len(lam) + abs(k) + 2
-    for jh in _occ_window(lam, depth):
-        res = e_move(lam, jh, jh - 2 * k)
-        if res is not None:
-            nu, sign = res
-            yield nu, sign, Fraction(jh - k, 2)
+    its weight e^{rate x} in E_k(x).  Every nu has energy |lam| - k.
+
+    Only the first len(lam) + |k| levels can move; a target below them is
+    in the sea.  The sign counts the levels the moving one passes."""
+    occ = _occ_window(lam, len(lam) + abs(k))
+    taken = set(occ)
+    for jh in occ:
+        ih = jh - 2 * k
+        if ih in taken or ih < occ[-1]:
+            continue
+        lo, hi = min(ih, jh), max(ih, jh)
+        sign = -1 if sum(1 for x in occ if lo < x < hi) % 2 else 1
+        levels = sorted(taken - {jh} | {ih}, reverse=True)
+        nu = [(level + 2 * i + 1) // 2 for i, level in enumerate(levels)]
+        while nu and nu[-1] == 0:
+            nu.pop()
+        yield tuple(nu), sign, Fraction(jh - k, 2)
 
 
 def f2_eigenvalue(lam: Partition) -> Fraction:
@@ -539,7 +520,6 @@ __all__ = [
     "vacuum",
     "energy",
     "level_occupied",
-    "e_move",
     "f2_eigenvalue",
     "maya_string",
     "alpha_apply",

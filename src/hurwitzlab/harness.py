@@ -140,7 +140,7 @@ def campaign_curve(order: int = 12) -> list:
     from .lambert import lemma2_check
 
     poles = ((f"rho_{k}, w^{i}", c, 0)
-             for k, r in lemma2_check(5, order).items() for i, c in r["principal_part"].items())
+             for k, r in lemma2_check(5).items() for i, c in r["principal_part"].items())
     rho_row = check(
         "odd-principal-parts-rho",
         "rho_k symmetrization holomorphic at the branch point",

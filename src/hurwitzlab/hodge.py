@@ -25,7 +25,7 @@ from math import factorial, prod
 
 from .lambert import root_coordinate
 from .multipoly import MultiPoly, RatFn
-from .partitions import _splits
+from .partitions import _splits, enumerate_partitions
 from .rationals import double_factorial
 from .series import Series, bernoulli_exponent_series
 
@@ -85,19 +85,6 @@ def _mult_factor(mono: tuple) -> int:
     return prod(factorial(c) for c in counts.values())
 
 
-def _monomials(total: int, n: int, kcap: int):
-    """Sorted (descending) n-tuples with entries <= kcap summing to total."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, kcap), -1, -1):
-        if first * n < total:
-            break
-        for rest in _monomials(total - first, n - 1, first):
-            yield (first,) + rest
-
-
 def kw_potential(gcap: int, ncap: int, kcap: int) -> dict:
     """Truncated psi-class potential {(g, mono): coefficient}."""
     out: dict = {}
@@ -108,7 +95,10 @@ def kw_potential(gcap: int, ncap: int, kcap: int) -> dict:
             total = 3 * g - 3 + n
             if total < 0:
                 continue
-            for mono in _monomials(total, n, kcap):
+            for lam in enumerate_partitions(total):
+                if len(lam) > n or (lam and lam[0] > kcap):
+                    continue
+                mono = lam + (0,) * (n - len(lam))
                 val = wk_correlator(g, mono)
                 if val:
                     out[(g, mono)] = val / _mult_factor(mono)
@@ -229,9 +219,7 @@ def r_from_curve(order: int) -> Series:
     return Series(0, coeffs, order)
 
 
-_HODGE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def hodge_potential(gcap: int, ncap: int, kcap: int) -> dict:
     """Generating potential of the Hodge-class integrals, cached per caps.
 
@@ -239,20 +227,17 @@ def hodge_potential(gcap: int, ncap: int, kcap: int) -> dict:
     computed with headroom 2*gcap in both caps and filtered afterwards; the
     returned coefficients are exact.
     """
-    key = (gcap, ncap, kcap)
-    if key not in _HODGE_CACHE:
-        ni = ncap + 2 * gcap
-        ki = kcap + 2 * gcap
-        base = kw_potential(gcap, ni, ki)
-        b = bernoulli_exponent_series(2 * gcap + 1)
-        r = {j: c for j, c in enumerate(b.coeffs, b.low) if c}
-        image = givental_apply(base, r, gcap, ni, ki)
-        _HODGE_CACHE[key] = {
-            (g, mono): c
-            for (g, mono), c in image.items()
-            if len(mono) <= ncap and (not mono or mono[0] <= kcap)
-        }
-    return _HODGE_CACHE[key]
+    ni = ncap + 2 * gcap
+    ki = kcap + 2 * gcap
+    base = kw_potential(gcap, ni, ki)
+    b = bernoulli_exponent_series(2 * gcap + 1)
+    r = {j: c for j, c in enumerate(b.coeffs, b.low) if c}
+    image = givental_apply(base, r, gcap, ni, ki)
+    return {
+        (g, mono): c
+        for (g, mono), c in image.items()
+        if len(mono) <= ncap and (not mono or mono[0] <= kcap)
+    }
 
 
 def hodge_integral(g: int, ks) -> Fraction:

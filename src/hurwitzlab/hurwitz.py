@@ -544,9 +544,6 @@ def simplex_interpolate(n: int, top: int, value_fn, holdout_points):
     return poly, None
 
 
-_FIT_CACHE: dict = {}
-
-
 def fit_P_polynomial(g: int, n: int, holdout: int = 2) -> PPoly:
     """Fit P_{g,n} in total degree D + 1 on the simplex, D = 3g - 3 + n,
     and verify it on the holdout points (D + 2 + j,) * n, j = 1..holdout.
@@ -555,12 +552,16 @@ def fit_P_polynomial(g: int, n: int, holdout: int = 2) -> PPoly:
     the degree bound a check, recorded in the report, not hidden.  A
     holdout mismatch is disproof-grade and raises PolynomialityError.
     """
+    return _fit_P(g, n, holdout)
+
+
+@lru_cache(maxsize=None)
+def _fit_P(g: int, n: int, holdout: int) -> PPoly:
+    """The fit behind fit_P_polynomial, cached once per (g, n, holdout)
+    whether or not the caller passed the default holdout."""
     if (g, n) in ((0, 1), (0, 2)):
         raise ValueError("unstable (g, n) has no polynomial form")
     deg_bound = 3 * g - 3 + n
-    key = (g, n, holdout)
-    if key in _FIT_CACHE:
-        return _FIT_CACHE[key]
     poly, miss = simplex_interpolate(
         n,
         deg_bound + 1,
@@ -582,8 +583,7 @@ def fit_P_polynomial(g: int, n: int, holdout: int = 2) -> PPoly:
         "total_degree_ok": poly.total_degree() <= deg_bound,
         "holdout_ok": True,
     }
-    _FIT_CACHE[key] = PPoly(g, n, poly, report)
-    return _FIT_CACHE[key]
+    return PPoly(g, n, poly, report)
 
 
 __all__ = [

@@ -157,16 +157,17 @@ def odd_projection(f: Series, order: int) -> dict[int, object]:
     return out
 
 
-def lemma2_check(k_max: int, order: int) -> dict:
+def lemma2_check(k_max: int) -> dict:
     """Check rho_k(t) + rho_k(sigma-tilde(t)) has no pole at P for k <= k_max;
-    ``principal_part`` maps each negative power of w = 1/t to its coefficient.
+    ``principal_part`` maps each negative power of w = 1/t to its coefficient,
+    so rho_k is read through w^-1.
 
     rho_k has degree 2k+1, and sigma^-m is known through z^(N-1-m) for sigma
     through z^N, so z^-1 at m = 2k+1 needs the least order N = 2k+1."""
     sig = sigma_z(max(2, 2 * k_max + 1))
     results = {}
     for k in range(k_max + 1):
-        f = poly_to_w_laurent(rho_poly(k), order)
+        f = poly_to_w_laurent(rho_poly(k), -1)
         sym = f + f.compose(sig)
         principal = {i: sym.coeff(i) for i in range(f.low, 0)}
         results[k] = {"holomorphic_at_P": not any(principal.values()), "principal_part": principal}

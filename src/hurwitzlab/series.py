@@ -6,7 +6,8 @@ asking for them raises instead of silently returning garbage.  ``order=None``
 marks an exact (polynomial/Laurent-polynomial) series.  Arithmetic propagates
 the minimal valid order of its inputs.  ``compose`` is the one substitution:
 ``exp``, ``log`` and the unit part of ``reciprocal`` substitute into the stock
-series below, and ``powers`` builds every table of truncated powers.
+series below, and ``powers`` builds every table of truncated powers;
+``reverse`` reads its Lagrange inversion off one such table.
 
 Coefficients may be Fractions, ints, or any ring-like object supporting
 ``+``, ``-``, ``*`` with itself and with ints (e.g. MultiPoly, or another
@@ -236,15 +237,6 @@ class Series:
                 pows[k] = (pows[k + 1] * inv).truncate(order)
         return {k: p for k, p in pows.items() if lo <= k <= hi}
 
-    def differentiate(self):
-        out = []
-        for i, c in enumerate(self.coeffs):
-            k = self.low + i
-            out.append(k * c)
-        return Series(
-            self.low - 1, out, None if self.order is None else self.order - 1
-        )
-
     def reciprocal(self, order=None):
         """1/f.  The leading coefficient must be invertible in its ring.
 
@@ -339,25 +331,16 @@ class Series:
         return (self.log() * Fraction(1, 2)).exp()
 
     def reverse(self):
-        """Compositional inverse of f with f(0)=0, f'(0) invertible."""
+        """Compositional inverse of f with f(0)=0, f'(0) invertible, by
+        Lagrange inversion: [z^n] f^-1 = (1/n) [z^(n-1)] (z/f)^n."""
         if self.low != 1:
             raise ValueError("reverse: series must have valuation exactly 1")
         if self.order is None:
             raise ValueError("reverse needs a finite order")
         order = self.order
-        f1 = self.coeffs[0]
-        g = Series(1, [_inv_coeff(f1)], 1)
-        prec = 1
-        ident = Series.x(order)
-        fprime = self.differentiate()
-        while prec < order:
-            prec = min(2 * prec, order)
-            gw = g.truncate(prec)
-            gw = Series(gw.low, list(gw.coeffs), prec)
-            err = self.truncate(prec).compose(gw) - ident.truncate(prec)
-            corr = err * fprime.truncate(prec).compose(gw).reciprocal()
-            g = (gw - corr).truncate(prec)
-        return g.truncate(order)
+        pows = Series(0, self.coeffs, order - 1).reciprocal().powers(1, order, order - 1)
+        coeffs = [pows[n].coeff(n - 1) * Fraction(1, n) for n in range(1, order + 1)]
+        return Series(1, coeffs, order)
 
 
 # -- stock series -------------------------------------------------------------

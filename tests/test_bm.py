@@ -170,13 +170,19 @@ def test_x_expansion_mismatch_is_a_fail_row(monkeypatch):
     assert all(r["status"] == "pass" for name, r in rows.items() if name != row["name"])
 
 
+def _w_at(monkeypatch, key, value):
+    """Make w_poly return ``value`` at (g, n) = ``key`` and W elsewhere."""
+    real = bm.w_poly
+    monkeypatch.setattr(bm, "w_poly", lambda g, n: value if (g, n) == key else real(g, n))
+
+
 def test_asymmetric_w_is_a_fail_row(monkeypatch, capsys):
     # the x-expansion reads only sorted exponent tuples, so the symmetry of W
     # is the w-symmetric row's to check
     from hurwitzlab.cli import main
 
     w = w_poly(0, 3)
-    monkeypatch.setitem(bm._W_CACHE, (0, 3), w + t(0, 3) ** 3 * t(1, 3) ** 2 * t(2, 3) ** 2)
+    _w_at(monkeypatch, (0, 3), w + t(0, 3) ** 3 * t(1, 3) ** 2 * t(2, 3) ** 2)
     rows = {row["name"]: row for row in harness.campaign_bm(0, 3, 2)}
     assert rows["w-symmetric-0-3"]["status"] == "fail"
     assert main(["bm", "--g", "0", "--n", "3", "--x-order", "2"]) == 1
@@ -193,7 +199,7 @@ def test_boundary_coefficient_is_a_witness(monkeypatch):
     w = w_poly(0, 3)
     v = [t(i, 3) ** 2 for i in range(3)]
     extra = v[0] * v[1] + v[0] * v[2] + v[1] * v[2]
-    monkeypatch.setitem(bm._W_CACHE, (0, 3), w + extra)
+    _w_at(monkeypatch, (0, 3), w + extra)
     rep = bm_vs_hurwitz(0, 3, 3)
     assert rep["coefficients_checked"] == 10
     g, n, key, got, expected = rep["mismatch"]

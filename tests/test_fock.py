@@ -21,7 +21,7 @@ from hurwitzlab.fock import (
     vev_hurwitz,
 )
 from hurwitzlab.hurwitz import disconnected_by_b
-from hurwitzlab.partitions import central_character_f2, dim_hook, enumerate_partitions
+from hurwitzlab.partitions import central_character_f2, dim_hook, enumerate_partitions, mn_character
 from hurwitzlab.series import Series
 
 
@@ -62,6 +62,25 @@ def test_heisenberg_relation_on_every_state_up_to_energy_4():
                 comm = {nu: ab.get(nu, 0) - ba.get(nu, 0) for nu in ab.keys() | ba.keys()}
                 want = {lam: Fraction(k)} if k == l else {}
                 assert {nu: c for nu, c in comm.items() if c} == want, (lam, k, l)
+
+
+def test_wedge_moves_match_the_removal_route():
+    # prod alpha_{-mu_i} |0> = sum_lam chi^lam(mu) v_lam, and <0| prod alpha_{mu_i}
+    # v_lam = chi^lam(mu): the move signs in both directions against the
+    # border-strip removal route
+    for d in range(1, 8):
+        lams = enumerate_partitions(d)
+        for mu in lams:
+            chi = {lam: mn_character(lam, mu) for lam in lams}
+            v = vacuum()
+            for m in mu:
+                v = alpha_apply(-m, v)
+            assert v == {lam: c for lam, c in chi.items() if c}, mu
+            for lam in lams:
+                w = {lam: Fraction(1)}
+                for m in mu:
+                    w = alpha_apply(m, w)
+                assert w.get((), 0) == chi[lam], (mu, lam)
 
 
 def test_f2_matches_partition_route():

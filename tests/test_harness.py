@@ -267,14 +267,13 @@ def test_cli_undecided_truncation_exits_2(monkeypatch, capsys):
     )
 
 
-def test_cli_holdout_miss_exits_1(monkeypatch, capsys):
+def test_cli_holdout_miss_exits_1(monkeypatch, capsys, fresh_fit_cache):
     # scaled values polynomial at the fit points 1..3 and the first holdout
     # 4, and broken at the second holdout 5
     monkeypatch.setattr(
         hurwitz, "hurwitz_scaled_value",
         lambda g, mu: Fraction(0) if max(mu) <= 4 else Fraction(1),
     )
-    monkeypatch.setattr(hurwitz, "_FIT_CACHE", {})
     assert main(["polyfit", "--g", "1", "--n", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -319,16 +318,25 @@ def test_elsv_row_names_the_first_mismatch(monkeypatch):
     assert "elsv-top-coefficient-1-2" not in rows
 
 
-def test_fit_degree_row_fails_on_data_of_degree_d_plus_1(monkeypatch, capsys):
+def test_each_fit_is_cached_once(fresh_fit_cache):
+    # criterion 6 reads fit_P_polynomial(g, n), criteria 5 and 8 read
+    # fit_P_polynomial(g, n, holdout): one fit per (g, n) serves all three
+    for idx in (5, 6, 8):
+        harness.ALL_CRITERIA[idx]()
+    info = hurwitz._fit_P.cache_info()
+    assert info.misses == len(set(harness.ACCEPTANCE_SET)), info
+    assert info.hits > 0
+
+
+def test_fit_degree_row_fails_on_data_of_degree_d_plus_1(monkeypatch, capsys, fresh_fit_cache):
     # scaled values plus (mu_1 + mu_2)^(D + 1), D = 2: the fit in total
     # degree D + 1 reproduces them at both holdouts, so only the degree row
     # can see that they are no polynomial of degree D
     _plus(monkeypatch, hurwitz, "hurwitz_scaled_value", lambda g, mu: sum(mu) ** 3)
-    monkeypatch.setattr(hurwitz, "_FIT_CACHE", {})
     rows = {row["name"]: row["status"] for row in harness.campaign_polyfit(1, 2)}
     assert rows == {"fit-symmetric-1-2": "pass", "fit-degree-1-2": "fail",
                     "fit-holdout-1-2": "pass"}
-    monkeypatch.setattr(hurwitz, "_FIT_CACHE", {})
+    hurwitz._fit_P.cache_clear()
     assert main(["polyfit", "--g", "1", "--n", "2"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -394,7 +402,7 @@ def _wrong_w(monkeypatch, g, n, others):
     """A residue-route W_{g,n} with an extra t_1; criterion 6 then runs only
     the campaigns of ``others``, none of which reads W_{g,n}."""
     monkeypatch.setattr(harness, "ACCEPTANCE_SET", others)
-    monkeypatch.setitem(bm._W_CACHE, (g, n), bm.w_poly(g, n) + MultiPoly.var(n, 0))
+    _plus(monkeypatch, bm, "w_poly", lambda *gn: MultiPoly.var(n, 0) if gn == (g, n) else 0)
 
 
 def _wrong_ss_step(monkeypatch):

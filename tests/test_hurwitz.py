@@ -247,7 +247,7 @@ def test_fit_rejects_unstable():
         fit_P_polynomial(0, 2)
 
 
-def test_fit_detects_non_polynomial_data(monkeypatch):
+def test_fit_detects_non_polynomial_data(monkeypatch, fresh_fit_cache):
     from hurwitzlab import hurwitz
 
     def fake(g, mu):
@@ -256,6 +256,5 @@ def test_fit_detects_non_polynomial_data(monkeypatch):
         return Fraction(0) if max(mu) <= 4 else Fraction(1)
 
     monkeypatch.setattr(hurwitz, "hurwitz_scaled_value", fake)
-    monkeypatch.setattr(hurwitz, "_FIT_CACHE", {})
     with pytest.raises(PolynomialityError, match=r"holdout \(5,\): poly gives 0, data gives 1"):
         fit_P_polynomial(1, 1)

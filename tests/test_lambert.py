@@ -151,7 +151,7 @@ def test_field_duality_D_vs_x_ddx():
 
 
 def test_lemma2_no_pole_at_P():
-    results = lemma2_check(5, 12)
+    results = lemma2_check(5)
     for k, r in results.items():
         assert r["holomorphic_at_P"], (k, r)
 
@@ -160,10 +160,10 @@ def test_lemma2_no_pole_at_P():
 def test_lemma2_raises_with_sigma_one_order_short(monkeypatch, k_max):
     from hurwitzlab import lambert
 
-    assert all(r["holomorphic_at_P"] for r in lemma2_check(k_max, 12).values())
+    assert all(r["holomorphic_at_P"] for r in lemma2_check(k_max).values())
     monkeypatch.setattr(lambert, "sigma_z", lambda order: sigma_z(order - 1))
     with pytest.raises(ValueError, match="beyond validity order"):
-        lemma2_check(k_max, 12)
+        lemma2_check(k_max)
 
 
 def test_lemma2_k0_value():

@@ -105,6 +105,20 @@ def test_reverse_identity_and_moebius():
         assert g.coeff(k) == Fraction((-1) ** (k - 1))
 
 
+def test_reverse_at_the_orders_the_program_uses():
+    from math import factorial
+
+    from hurwitzlab.lambert import root_coordinate
+
+    # the tree function: x e^{-x} inverts to sum m^(m-1)/m! x^m
+    x = Series.x(24)
+    tree = (x * exp_series(24).compose(-x)).reverse()
+    assert tree.order == 24
+    assert tree.coeffs == [Fraction(m ** (m - 1), factorial(m)) for m in range(1, 25)]
+    zeta = root_coordinate(28)
+    assert zeta.reverse().reverse() == zeta
+
+
 def test_exp_log_printed_r_series():
     r = bernoulli_exponent_series(3).exp()
     assert r.coeff(0) == 1
@@ -144,11 +158,6 @@ def test_residue_of_a_product_raises_past_the_order():
     f = Series(1, [Fraction(1)], 2)  # z + O(z^3)
     with pytest.raises(ValueError):
         f.residue(Series(-4, [Fraction(1)], None))  # needs the z^3 term of f
-
-
-def test_residue_vanishes_on_derivatives():
-    f = Series(-3, [2, 5, 0, 7, 1, 3], order=4)
-    assert f.differentiate().residue() == 0
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=7))
