@@ -10,7 +10,7 @@ and the conjugated raising operators A(a, b) used for Hurwitz correlators,
 either evaluated at a positive integer a or with a kept symbolic (bivariate
 series in z and u).
 
-A vector is a dict {partition: coefficient} with no zero coefficient, and
+A vector is a dict {partition: coefficient} with no exact zero, and
 one loop (``_apply``) applies every operator to it, row by row.  alpha_m, F2
 and the z^j coefficient of E_n map finite vectors to finite vectors; only
 the A-operators are infinite sums, so only their builds take an energy
@@ -27,7 +27,7 @@ from math import factorial
 from .hurwitz import branch_count, connected_from_disconnected
 from .partitions import Partition, check_partition
 from .rationals import pochhammer
-from .series import Series, exp_series, is_zero_coeff, zeta_series
+from .series import Series, exp_series, zeta_series
 
 # -- Maya-level bookkeeping (doubled half-integer levels) ------------------------
 
@@ -103,11 +103,19 @@ def vacuum(one=Fraction(1)) -> dict:
     return {(): one}
 
 
+def _is_exact_zero(c) -> bool:
+    """A zero scalar, or a zero Series with no unknown tail: a truncated
+    Series that reads zero through its order is not known to be zero."""
+    if isinstance(c, Series):
+        return c.order is None and c.is_zero()
+    return c == 0
+
+
 def _apply(v: dict, row, top=None) -> dict:
     """sum_lam c * row(lam) over the entries lam: c of v, where row(lam) is
     the operator's image {nu: entry} of the basis state lam.  A target above
-    energy ``top`` is skipped before its product is formed; cancelled entries
-    are dropped."""
+    energy ``top`` is skipped before its product is formed; entries that
+    cancel exactly are dropped."""
     out = {}
     for lam, c in v.items():
         for nu, w in row(lam).items():
@@ -115,7 +123,7 @@ def _apply(v: dict, row, top=None) -> dict:
                 continue
             cur = out.get(nu)
             out[nu] = c * w if cur is None else cur + c * w
-    return {nu: c for nu, c in out.items() if not is_zero_coeff(c)}
+    return {nu: c for nu, c in out.items() if not _is_exact_zero(c)}
 
 
 def alpha_apply(m: int, v: dict) -> dict:
@@ -212,6 +220,22 @@ def _a_row(lam: Partition, coeff: dict, lift, reads: dict, cutoff: int, memo: di
     return row
 
 
+@lru_cache(maxsize=None)
+def _integer_table(m: int, w: int, top: int):
+    """The coefficients {k: c_k} of A(m, um) for -m <= k <= top, built
+    through u^w, and the (k, rate) entry memo of the rows that read them.
+    Every integer entry is built through the one work order w, which is in
+    the key, so every application with this key shares the memo."""
+    zeta_u = _x_to_u(zeta_series(w + m + 4), m, w + m + 2)
+    # zeta(um)/(um): shift down one power of u, divide by m
+    zeta_over_um = Series(
+        0, [zeta_u.coeff(k + 1) * Fraction(1, m) for k in range(0, w + 1)], w
+    )
+    pref = zeta_over_um**m
+    zpows = zeta_u.powers(-m, top, w)
+    return {k: pref * zk * (Fraction(1) / pochhammer(m, k)) for k, zk in zpows.items()}, {}
+
+
 def apply_a_integer(m: int, v: dict, work_order: int, cutoff: int) -> dict:
     """Apply A(m, um) for a positive integer m to a vector of u-series,
     keeping the targets of energy at most ``cutoff``.
@@ -222,16 +246,10 @@ def apply_a_integer(m: int, v: dict, work_order: int, cutoff: int) -> dict:
     if m <= 0:
         raise ValueError("integer A-operator needs a positive argument")
     w = work_order
-    zeta_u = _x_to_u(zeta_series(w + m + 4), m, w + m + 2)
-    # zeta(um)/(um): shift down one power of u, divide by m
-    zeta_over_um = Series(
-        0, [zeta_u.coeff(k + 1) * Fraction(1, m) for k in range(0, w + 1)], w
-    )
-    pref = zeta_over_um**m
-    # a row of lam visits only k <= |lam|
-    zpows = zeta_u.powers(-m, min(cutoff, max(map(energy, v), default=0)), w)
-    coeff = {k: pref * zk * (Fraction(1) / pochhammer(m, k)) for k, zk in zpows.items()}
-    lift, reads, memo = (lambda s: _x_to_u(s, m, w)), dict.fromkeys(coeff, w), {}
+    # a row of lam visits only k <= |lam|; a state above the cutoff still
+    # moves into it, so the table reaches the top energy whatever the cutoff
+    coeff, memo = _integer_table(m, w, max(map(energy, v), default=0))
+    lift, reads = (lambda s: _x_to_u(s, m, w)), dict.fromkeys(coeff, w)
     return _apply(v, lambda lam: _a_row(lam, coeff, lift, reads, cutoff, memo))
 
 
@@ -257,8 +275,16 @@ def a_vev(mu, u_order: int, cutoff: int) -> Series:
     mu = tuple(int(m) for m in mu)
     work = u_order + 2 * sum(mu) + len(mu) + 6
     v = vacuum(one=Series.const(Fraction(1), work))
-    for m in reversed(mu):
-        v = apply_a_integer(m, v, work, cutoff)
+    # With ``left`` operators still to apply, an entry at energy E reaches
+    # the vacuum through ``left`` factors c_k * entry whose k sum to E.
+    # c_k = pref zeta(um)^k / (m+1)_k has u-valuation k and an entry
+    # e^{rate um} valuation >= 0, while the E_0 diagonal has valuation -1, so
+    # the factors have valuation >= E - left: u^u_order of the result reads
+    # the entry only through u^(u_order + left - E).  The last operator
+    # builds only the vacuum target, the one value read.
+    for left in range(len(mu) - 1, -1, -1):
+        v = apply_a_integer(mu[left], v, work, cutoff if left else 0)
+        v = {lam: c.truncate(u_order + left - energy(lam)) for lam, c in v.items()}
     got = v.get((), Series.zero(u_order))
     if got.order is not None and got.order < u_order:
         raise ValueError("internal working order too small for the request")
@@ -447,14 +473,15 @@ def _worst_status(statuses) -> str:
 def a_commutator_suite(kmax: int = 3, u_order: int = 2, cutoff: int = 7) -> dict:
     """Check [A_k, A_l] = (-1)^l delta_{k+l-1} for all |k|, |l| <= kmax on
     the test states (), (1,), (2, 1) under the cutoff, coefficientwise in u,
-    at two cutoffs, sharing the two matrix builds (through z^kmax, the
-    highest power read) across pairs.  Each A_l v is applied once per test
-    state, and A_k A_l v and A_l A_k v once per unordered pair {k, l},
-    keeping only targets below the band the comparison reads; [A_l, A_k] is
-    the negation of [A_k, A_l].  A u-coefficient fails where both cutoffs
-    agree on a wrong value and is inconclusive where they differ; a pair
-    with a test state above its band, or with none, is inconclusive.  A pair
-    takes the worst status of its checks (``_worst_status``).
+    at two cutoffs, both read from one matrix build at the outer cutoff
+    (through z^kmax, the highest power read) shared across pairs.  Each A_l
+    v is applied once per test state, and A_k A_l v and A_l A_k v once per
+    unordered pair {k, l}, keeping only targets below the band the
+    comparison reads; [A_l, A_k] is the negation of [A_k, A_l].  A
+    u-coefficient fails where both cutoffs agree on a wrong value and is
+    inconclusive where they differ; a pair with a test state above its band,
+    or with none, is inconclusive.  A pair takes the worst status of its
+    checks (``_worst_status``).
     Returns {(k, l): "pass" | "fail" | "inconclusive"}."""
     ks = list(range(-kmax, kmax + 1))
     states = [lam for lam in ((), (1,), (2, 1)) if energy(lam) <= cutoff]
@@ -466,13 +493,18 @@ def a_commutator_suite(kmax: int = 3, u_order: int = 2, cutoff: int = 7) -> dict
         # cutoffs and equal the expected multiple of the identity
         return cutoff - max(abs(k), abs(l)) - 1
 
+    # the matrix at a cutoff is the window of a deeper one: the keys with
+    # both energies at or below it
+    matrix = a_symbolic_matrix(kmax, cutoff + 2)
+
     def run_all(cut):
         # {(k, l): {lam: {nu: [A_k, A_l] coefficient through u^u_order}}}
         # for the test states under the band; compose with u-headroom:
         # products against Laurent entries lose validity, so extract deeper
         # than the comparison window
         u_work = u_order + cut + 2
-        ops = a_k_operators(a_symbolic_matrix(kmax, cut), ks, u_work)
+        window = {key: biv for key, biv in matrix.items() if max(map(energy, key)) <= cut}
+        ops = a_k_operators(window, ks, u_work)
         one, zero = Series.const(Fraction(1), u_work), Series.zero(u_work)
 
         def apply(k, vec, top=None):

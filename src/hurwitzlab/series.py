@@ -10,8 +10,12 @@ series below, and ``powers`` builds every table of truncated powers;
 ``reverse`` reads its Lagrange inversion off one such table.
 
 Coefficients may be Fractions, ints, or any ring-like object supporting
-``+``, ``-``, ``*`` with itself and with ints (e.g. MultiPoly, or another
-Series for nested expansions).
+``+``, ``-``, ``*`` with itself and with ints (e.g. MultiPoly).  Series
+coefficients give a nested (bivariate) expansion, but arithmetic reads a
+Series operand as a series in the outer variable:
+``Series(1, [1, 1], 3) * Series.x(3)`` multiplies by z.  A nested
+coefficient must be lifted into an outer Series before it enters a
+product, as ``fock._biv_from_x`` lifts each x-coefficient.
 """
 
 from __future__ import annotations

@@ -3,15 +3,18 @@ from fractions import Fraction
 import pytest
 
 from hurwitzlab.fock import (
+    _apply,
     _worst_status,
     a_commutator_suite,
     a_connected,
     a_correlator,
     a_symbolic_matrix,
+    a_vev,
     alpha_apply,
     apply_a_integer,
     dim_path,
     e_operator_apply,
+    energy,
     f2_eigenvalue,
     h_from_a_correlator,
     level_occupied,
@@ -351,6 +354,88 @@ def test_integer_a_operator_is_linear_over_mixed_energies():
                 for nu, s in apply_a_integer(m, {lam: c}, 10, cutoff).items():
                     want[nu] = want[nu] + s if nu in want else s
             assert got == {nu: s for nu, s in want.items() if not s.is_zero()}, (cutoff, m)
+
+
+def test_integer_a_operator_moves_a_state_above_its_cutoff():
+    # (3,) sits above the cutoff 2, yet E_1, E_2 and E_3 take it into the
+    # window: the build must reach k = 3, the move to the vacuum
+    v = {(3,): Series.const(Fraction(1), 10)}
+    low = apply_a_integer(1, v, 10, 2)
+    high = apply_a_integer(1, v, 10, 3)
+    assert () in low
+    assert low == {nu: s for nu, s in high.items() if energy(nu) <= 2}
+
+
+def test_apply_drops_only_exact_zeros():
+    # a zero known only through u^-3, or a cancellation through u^4, leaves
+    # unknown coefficients: dropping it would let a later default zero claim
+    # coefficients that nothing computed
+    one = Series.const(Fraction(1), 5)
+    got = _apply({(): Series.zero(-3)}, lambda lam: {lam: one})
+    assert got == {(): Series.zero(-3)}
+    cancel = {(1,): Series.const(Fraction(1), 4), (2,): Series.const(Fraction(-1), 4)}
+    assert _apply(cancel, lambda lam: {(): one}) == {(): Series.zero(4)}
+    # exact cancellations drop, for scalars and for exact series
+    assert _apply({(1,): Fraction(1), (2,): Fraction(-1)}, lambda lam: {(): Fraction(2)}) == {}
+    exact = {(1,): Series.const(Fraction(1)), (2,): Series.const(Fraction(-1))}
+    assert _apply(exact, lambda lam: {(): Series.const(Fraction(2))}) == {}
+
+
+def test_graded_a_vev_matches_the_plain_chain():
+    # the reference applies every operator at the full cutoff and truncates
+    # only the vacuum coefficient, at the end
+    for d in range(1, 4):
+        for lam in enumerate_partitions(d):
+            for mu in {lam, lam[::-1]}:
+                for u_order in range(-1, 3):
+                    work = u_order + 2 * d + len(mu) + 6
+                    base = d + max(u_order, 0) + 4
+                    for cutoff in (base, base + 2):
+                        v = vacuum(one=Series.const(Fraction(1), work))
+                        for m in reversed(mu):
+                            v = apply_a_integer(m, v, work, cutoff)
+                        want = v[()].truncate(u_order)
+                        got = a_vev(mu, u_order, cutoff)
+                        assert (got.low, got.coeffs, got.order) == (
+                            want.low, want.coeffs, want.order), (mu, u_order, cutoff)
+
+
+def test_symbolic_matrix_at_a_cutoff_is_the_window_of_a_deeper_one():
+    # the commutator suite reads both of its runs from the build at the
+    # outer cutoff
+    for z_order, cutoff in ((2, 6), (3, 7)):
+        deep = a_symbolic_matrix(z_order, cutoff + 2)
+        window = {key: biv for key, biv in deep.items() if max(map(energy, key)) <= cutoff}
+        shallow = a_symbolic_matrix(z_order, cutoff)
+        assert list(window) == list(shallow)
+        for key, biv in shallow.items():
+            assert biv == window[key] and biv.order == z_order, key
+
+
+def test_commutator_suite_builds_one_symbolic_matrix(monkeypatch):
+    from hurwitzlab import fock
+
+    real, calls = fock.a_symbolic_matrix, []
+    monkeypatch.setattr(fock, "a_symbolic_matrix", lambda *a: calls.append(a) or real(*a))
+    assert set(a_commutator_suite(1, 2, 5).values()) == {"pass"}
+    assert calls == [(1, 7)]
+
+
+def test_second_cutoff_run_builds_no_new_integer_table(monkeypatch):
+    from hurwitzlab import fock
+
+    fock._integer_table.cache_clear()
+    fock._a_correlator.cache_clear()
+    real, built = fock.a_vev, []
+
+    def counted(*args):
+        out = real(*args)
+        built.append(fock._integer_table.cache_info().misses)
+        return out
+
+    monkeypatch.setattr(fock, "a_vev", counted)
+    a_correlator((3,), 1)
+    assert built == [1, 1]
 
 
 def test_symbolic_matrix_builds_share_no_entries():
