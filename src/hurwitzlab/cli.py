@@ -2,7 +2,7 @@
 
 Subcommands: hurwitz, polyfit, bm, elsv, fock, curve, all.  Every run writes
 a JSON (or CSV) report and exits 0 only if all checks passed, 1 on an
-identity failure, 2 when a truncation was too small to decide.  Bad input
+identity failure, 2 when a check was inconclusive.  Bad input
 (an empty --mu or a part <= 0, --g < 0, an unstable (g, n), bm --x-order < 1,
 --holdout < 1, a negative fock --kmax or --cutoff, a negative curve --order,
 a malformed cache file or one that contradicts itself, a cache path that is
@@ -11,8 +11,7 @@ campaign runs.
 ``polyfit`` and ``elsv`` fit P_{g,n} in total degree 3g - 2 + n, one above
 the theorem's bound, on the simplex of points that fixes such a polynomial,
 and check it at --holdout further points.
-An A-correlator that differs between its two cutoffs exits 2, and a fit that
-misses a holdout point exits 1, each with one line on stderr.
+A fit that misses a holdout point exits 1, with one line on stderr.
 ``hurwitz`` compares the character value with the cut-and-join table, which
 ends at |mu| = 10 and b = 16; past it the row is inconclusive (exit 2).  Two
 routes that disagree on a value exit 1.
@@ -24,7 +23,6 @@ import argparse
 import sys
 
 from . import harness
-from .fock import TruncationUnstable
 from .hurwitz import ConflictError, PolynomialityError
 from .rationals import rational_to_str
 
@@ -129,9 +127,6 @@ def main(argv=None) -> int:
     except PolynomialityError as exc:
         print(f"not polynomial: {exc}", file=sys.stderr)
         return 1
-    except TruncationUnstable as exc:
-        print(f"undecided truncation: {exc}", file=sys.stderr)
-        return 2
     report = harness.report_emit(args.command, params, checks)
     text = harness.format_report(report, args.format)
     if args.out:

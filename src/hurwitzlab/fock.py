@@ -14,8 +14,8 @@ A vector is a dict {partition: coefficient} with no exact zero, and
 one loop (``_apply``) applies every operator to it, row by row.  alpha_m, F2
 and the z^j coefficient of E_n map finite vectors to finite vectors; only
 the A-operators are infinite sums, so only their builds take an energy
-cutoff, and states pushed above it are dropped.  High-level entry points
-recompute at two cutoffs and require agreement before a value is accepted.
+cutoff, and states pushed above it are dropped.  Each high-level entry point
+runs once, at a cutoff whose exactness argument is written next to it.
 """
 
 from __future__ import annotations
@@ -292,34 +292,20 @@ def a_vev(mu, u_order: int, cutoff: int) -> Series:
 
 
 def a_correlator(mu, u_order: int):
-    """Stabilized disconnected A-correlator as a truncated u-Laurent series.
-
-    Computes at the policy cutoff |mu| + max(u_order, 0) + 4 and at
-    cutoff+2 and requires both runs to agree on every reported coefficient;
-    raises TruncationUnstable otherwise.  Memoized per (mu, u_order).
+    """Disconnected A-correlator as a truncated u-Laurent series: one
+    ``a_vev`` run at the cutoff |mu|, which drops no state (see
+    ``_a_correlator``).  Memoized per (mu, u_order).
     """
     return _a_correlator(tuple(int(m) for m in mu), u_order)
 
 
-def _at_two_cutoffs(run, cutoff: int):
-    """run(cutoff) and run(cutoff + 2), the two runs of the two-cutoff
-    protocol: a value on the energy window counts only where they agree."""
-    return run(cutoff), run(cutoff + 2)
-
-
 @lru_cache(maxsize=None)
 def _a_correlator(mu: tuple, u_order: int) -> Series:
-    cutoff = sum(mu) + max(u_order, 0) + 4
-    first, second = _at_two_cutoffs(lambda cut: a_vev(mu, u_order, cut), cutoff)
-    if first != second:
-        raise TruncationUnstable(
-            f"A-correlator for {mu} unstable between cutoffs {cutoff} and {cutoff + 2}"
-        )
-    return first
-
-
-class TruncationUnstable(Exception):
-    """Two-cutoff protocol detected an unconverged truncation."""
+    # A(m, um) = sum_{k >= -m} c_k E_k, since 1/(m+1)_k vanishes for k < -m,
+    # and E_k lowers the energy by k: each operator raises it by at most m,
+    # so no state of the chain from the vacuum goes above |mu|, and the
+    # cutoff |mu| drops nothing
+    return a_vev(mu, u_order, sum(mu))
 
 
 def a_connected(mu, u_order: int) -> Series:
@@ -470,82 +456,86 @@ def _worst_status(statuses) -> str:
     return max(statuses, key=_SEVERITY.index, default="pass")
 
 
+_TEST_STATES = ((), (1,), (2, 1))
+
+
+def _commutators(matrix, kmax: int, u_order: int, cutoff: int) -> dict:
+    """{(k, l): {lam: {nu: [A_k, A_l] coefficient through u^u_order}}} for
+    |k|, |l| <= kmax, read from ``matrix``, an ``a_symbolic_matrix`` through
+    z^kmax.  A pair compares the test states at or below its band
+    cutoff - max(|k|, |l|) - 1, and keeps only the targets there.
+
+    The run reads no row above cutoff - 1.  A_k holds c_j E_j only for
+    j <= max(k, 0): c_j E_j starts at z^j for j > 0, at z^-1 for j = 0 (the
+    E_0 diagonal) and at z^(j+1) for j < 0 (1/(z+1)_j holds the factor z).
+    E_j lowers the energy by j, so a target at or below the band comes from
+    a state of energy at most band + max(k, 0) <= cutoff - 1, and each test
+    state compared sits at or below the band.
+
+    Each A_l v is applied once per test state, and A_k A_l v and A_l A_k v
+    once per unordered pair {k, l}; [A_l, A_k] is the negation of
+    [A_k, A_l].  Products against Laurent entries lose validity, so the
+    operators are extracted through u^(u_order + cutoff + 2); a coefficient
+    read past the validity a product keeps raises.
+    """
+    ks = list(range(-kmax, kmax + 1))
+    u_work = u_order + cutoff + 2
+    ops = a_k_operators(matrix, ks, u_work)
+    one, zero = Series.const(Fraction(1), u_work), Series.zero(u_work)
+
+    def apply(k, vec, top=None):
+        # A_k vec through u^u_work, dropping what vanishes there
+        out = _apply(vec, lambda lam: ops[k].get(lam, {}), top)
+        return {nu: s for nu, c in out.items() if not (s := c.truncate(u_work)).is_zero()}
+
+    states = [lam for lam in _TEST_STATES if energy(lam) < cutoff]
+    single = {(l, lam): apply(l, {lam: one}) for l in ks for lam in states}
+    out = {}
+    for i, k in enumerate(ks):
+        for l in ks[i:]:
+            top = cutoff - max(abs(k), abs(l)) - 1  # the band
+            out[(k, l)], out[(l, k)] = {}, {}
+            for lam in states:
+                if energy(lam) > top:
+                    continue
+                ab = apply(k, single[(l, lam)], top)
+                ba = ab if k == l else apply(l, single[(k, lam)], top)
+                comm = {nu: (ab.get(nu, zero) - ba.get(nu, zero)).truncate(u_order)
+                        for nu in ab.keys() | ba.keys()}
+                out[(k, l)][lam] = comm
+                out[(l, k)][lam] = {nu: -c for nu, c in comm.items()}
+    return out
+
+
 def a_commutator_suite(kmax: int = 3, u_order: int = 2, cutoff: int = 7) -> dict:
     """Check [A_k, A_l] = (-1)^l delta_{k+l-1} for all |k|, |l| <= kmax on
-    the test states (), (1,), (2, 1) under the cutoff, coefficientwise in u,
-    at two cutoffs, both read from one matrix build at the outer cutoff
-    (through z^kmax, the highest power read) shared across pairs.  Each A_l
-    v is applied once per test state, and A_k A_l v and A_l A_k v once per
-    unordered pair {k, l}, keeping only targets below the band the
-    comparison reads; [A_l, A_k] is the negation of [A_k, A_l].  A
-    u-coefficient fails where both cutoffs agree on a wrong value and is
-    inconclusive where they differ; a pair with a test state above its band,
-    or with none, is inconclusive.  A pair takes the worst status of its
-    checks (``_worst_status``).
+    the test states (), (1,), (2, 1), coefficientwise in u, on the targets
+    at or below each pair's band cutoff - max(|k|, |l|) - 1.
+
+    One run (``_commutators``) reads no row above cutoff - 1, and the
+    entries at a cutoff are the window of a deeper build, so one matrix
+    built at cutoff - 1 through z^kmax holds every entry it reads, exactly.
+    A u-coefficient other than the expected one fails; a pair with a test
+    state under the cutoff above its band, or with none, is inconclusive.
+    A pair takes the worst status of its checks (``_worst_status``).
     Returns {(k, l): "pass" | "fail" | "inconclusive"}."""
-    ks = list(range(-kmax, kmax + 1))
-    states = [lam for lam in ((), (1,), (2, 1)) if energy(lam) <= cutoff]
+    ks = range(-kmax, kmax + 1)
+    states = [lam for lam in _TEST_STATES if energy(lam) <= cutoff]
+    comms = _commutators(a_symbolic_matrix(kmax, cutoff - 1), kmax, u_order, cutoff)
+    zero = Series.zero(u_order)
 
-    def band(k, l):
-        # dropped intermediate states leave artifacts on a top energy band
-        # whose depth grows with the operator indices; components below the
-        # band (of the outer cutoff, in both runs) must be stable across
-        # cutoffs and equal the expected multiple of the identity
-        return cutoff - max(abs(k), abs(l)) - 1
-
-    # the matrix at a cutoff is the window of a deeper one: the keys with
-    # both energies at or below it
-    matrix = a_symbolic_matrix(kmax, cutoff + 2)
-
-    def run_all(cut):
-        # {(k, l): {lam: {nu: [A_k, A_l] coefficient through u^u_order}}}
-        # for the test states under the band; compose with u-headroom:
-        # products against Laurent entries lose validity, so extract deeper
-        # than the comparison window
-        u_work = u_order + cut + 2
-        window = {key: biv for key, biv in matrix.items() if max(map(energy, key)) <= cut}
-        ops = a_k_operators(window, ks, u_work)
-        one, zero = Series.const(Fraction(1), u_work), Series.zero(u_work)
-
-        def apply(k, vec, top=None):
-            # A_k vec through u^u_work, dropping what vanishes there
-            out = _apply(vec, lambda lam: ops[k].get(lam, {}), top)
-            return {nu: s for nu, c in out.items() if not (s := c.truncate(u_work)).is_zero()}
-
-        single = {(l, lam): apply(l, {lam: one}) for l in ks for lam in states}
-        out = {}
-        for i, k in enumerate(ks):
-            for l in ks[i:]:
-                top = band(k, l)  # the comparison reads no target above it
-                out[(k, l)], out[(l, k)] = {}, {}
-                for lam in states:
-                    if energy(lam) > top:
-                        continue
-                    ab = apply(k, single[(l, lam)], top)
-                    ba = ab if k == l else apply(l, single[(k, lam)], top)
-                    comm = {nu: (ab.get(nu, zero) - ba.get(nu, zero)).truncate(u_order)
-                            for nu in ab.keys() | ba.keys()}
-                    out[(k, l)][lam] = comm
-                    out[(l, k)][lam] = {nu: -c for nu, c in comm.items()}
-        return out
-
-    def verdicts(k, l, first, second):
-        if not first or len(first) < len(states):
+    def verdicts(k, l, comm):
+        if not comm or len(comm) < len(states):
             yield "inconclusive"  # a test state above the band, or none at all
         expected = Fraction((-1) ** l) if k + l == 1 else Fraction(0)
-        zero = Series.zero(u_order)
-        for lam, a in first.items():
-            b = second[lam]
-            for nu in a.keys() | b.keys() | {lam}:
-                ca, cb = a.get(nu, zero), b.get(nu, zero)
-                for q in range(min(ca.low, cb.low, 0), u_order + 1):
-                    got = ca.coeff(q)
+        for lam, row in comm.items():
+            for nu in row.keys() | {lam}:
+                c = row.get(nu, zero)
+                for q in range(min(c.low, 0), u_order + 1):
                     want = expected if (nu, q) == (lam, 0) else 0
-                    yield "inconclusive" if got != cb.coeff(q) else "fail" if got != want else "pass"
+                    yield "fail" if c.coeff(q) != want else "pass"
 
-    first, second = _at_two_cutoffs(run_all, cutoff)
-    return {(k, l): _worst_status(verdicts(k, l, first[(k, l)], second[(k, l)]))
-            for k in ks for l in ks}
+    return {(k, l): _worst_status(verdicts(k, l, comms[(k, l)])) for k in ks for l in ks}
 
 
 __all__ = [
@@ -569,5 +559,4 @@ __all__ = [
     "a_symbolic_matrix",
     "a_k_operators",
     "a_commutator_suite",
-    "TruncationUnstable",
 ]

@@ -292,7 +292,8 @@ def campaign_fock(u_order: int = 1, kmax: int = 3, cutoff: int = 7) -> list:
     checks.append(
         check(
             f"commutators-kmax{kmax}",
-            f"canonical commutation relations on test states at cutoffs {cutoff} and {cutoff + 2}",
+            f"canonical commutation relations on test states at cutoff {cutoff - 1}, "
+            f"compared at energy <= {cutoff - 1} - max(|k|, |l|)",
             "all-pass" if worst == "pass" else worst,
             "all-pass",
             status=worst,

@@ -56,6 +56,9 @@ def wk_correlator(g: int, ds: tuple) -> Fraction:
             if d >= 1:
                 total += wk_correlator(g, rest[:j] + (d - 1,) + rest[j + 1 :])
         return total
+    if ds[-1] == 1:
+        # dilaton equation: <tau_1 prod tau_d>_g = (2g - 2 + n - 1) <prod tau_d>_g
+        return (2 * g - 3 + n) * wk_correlator(g, ds[:-1])
     # pivot on the largest index
     k = ds[0] - 1
     rest = ds[1:]

@@ -17,7 +17,7 @@ ROW_DIGESTS = {
     1: "176e6de562ccd19d73a146ebdcde7bebd52c1a068e328e78427620badea25c04",
     2: "931eccbc9495606b40647301027d6b2887899350292a25316e64076411dc162e",
     3: "125a8508f445709aa5c0f6608e4d3d182d2afb999078c21615966a29be3d6875",
-    4: "66ef4cfbd515b12431ecd007470560abc47471938d30bba0f9dc66ea1a3eeeec",
+    4: "f17df9770e3ae93f905bc1e714ebebb18e428581b0142f8f98555610763f5d9c",
     5: "7991d2ddc72f62ca31f3a2cbe172bc5d6d0c3b6eb3a3257d4e96a68018e17846",
     6: "0077fe7a5b70b10a01173d62a1be1727751c0ced17bd6478ff66042887ec3fc2",
     7: "2f2738f8f07ca0a47f6e22fe1428afee27b45ed3924f87b00f12240160d7d418",

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from hurwitzlab.fock import (
     _apply,
+    _commutators,
     _worst_status,
     a_commutator_suite,
     a_connected,
@@ -401,8 +403,8 @@ def test_graded_a_vev_matches_the_plain_chain():
 
 
 def test_symbolic_matrix_at_a_cutoff_is_the_window_of_a_deeper_one():
-    # the commutator suite reads both of its runs from the build at the
-    # outer cutoff
+    # the commutator suite's one build at cutoff - 1 holds the entries a
+    # deeper build would give the rows it reads
     for z_order, cutoff in ((2, 6), (3, 7)):
         deep = a_symbolic_matrix(z_order, cutoff + 2)
         window = {key: biv for key, biv in deep.items() if max(map(energy, key)) <= cutoff}
@@ -418,24 +420,46 @@ def test_commutator_suite_builds_one_symbolic_matrix(monkeypatch):
     real, calls = fock.a_symbolic_matrix, []
     monkeypatch.setattr(fock, "a_symbolic_matrix", lambda *a: calls.append(a) or real(*a))
     assert set(a_commutator_suite(1, 2, 5).values()) == {"pass"}
-    assert calls == [(1, 7)]
+    assert calls == [(1, 4)]
 
 
-def test_second_cutoff_run_builds_no_new_integer_table(monkeypatch):
+@pytest.mark.parametrize("kmax, u_order, cutoff", [(1, 2, 5), (2, 2, 6), (3, 2, 7)])
+def test_single_run_commutators_equal_the_deep_matrix_run(kmax, u_order, cutoff):
+    # the run reads no row above cutoff - 1: reading the whole matrix at
+    # cutoff + 2, or its window at the cutoff, gives the same commutators,
+    # validity orders included
+    deep = a_symbolic_matrix(kmax, cutoff + 2)
+    window = {key: biv for key, biv in deep.items() if max(map(energy, key)) <= cutoff}
+    got = _commutators(a_symbolic_matrix(kmax, cutoff - 1), kmax, u_order, cutoff)
+    assert len(got) == (2 * kmax + 1) ** 2
+    assert _commutators(deep, kmax, u_order, cutoff) == got
+    assert _commutators(window, kmax, u_order, cutoff) == got
+
+
+def test_correlator_runs_one_chain_at_cutoff_mu(monkeypatch):
     from hurwitzlab import fock
 
-    fock._integer_table.cache_clear()
     fock._a_correlator.cache_clear()
-    real, built = fock.a_vev, []
+    real, calls = fock.a_vev, []
+    monkeypatch.setattr(fock, "a_vev", lambda *a: calls.append(a) or real(*a))
+    try:
+        a_correlator((3, 1), 1)
+    finally:
+        fock._a_correlator.cache_clear()
+    assert calls == [((3, 1), 1, 4)]
 
-    def counted(*args):
-        out = real(*args)
-        built.append(fock._integer_table.cache_info().misses)
-        return out
 
-    monkeypatch.setattr(fock, "a_vev", counted)
-    a_correlator((3,), 1)
-    assert built == [1, 1]
+def test_correlator_equals_the_outer_cutoff_run():
+    # no state of the chain goes above |mu|, so the cutoff |mu| equals the
+    # outer cutoff |mu| + max(u_order, 0) + 6 on every ordering
+    for d in range(1, 5):
+        for lam in enumerate_partitions(d):
+            for mu in set(permutations(lam)):
+                for u_order in range(-1, 3):
+                    got = a_correlator(mu, u_order)
+                    want = a_vev(mu, u_order, d + max(u_order, 0) + 6)
+                    assert (got.low, got.coeffs, got.order) == (
+                        want.low, want.coeffs, want.order), (mu, u_order)
 
 
 def test_symbolic_matrix_builds_share_no_entries():
@@ -461,17 +485,15 @@ def test_symbolic_matrix_is_a_truncation_of_a_deeper_one():
         assert biv == high[key].truncate(2), key
 
 
-def _double_a1(monkeypatch, at_u_order=None):
-    """Double A_1 in every run of the suite, or only in the run whose
-    a_k_operators call reads ``at_u_order``."""
+def _double_a(monkeypatch, k):
+    """Double A_k wherever the suite extracts its operators."""
     from hurwitzlab import fock
 
     real = fock.a_k_operators
 
     def doubled(matrix, ks, u_order):
         ops = real(matrix, ks, u_order)
-        if at_u_order in (None, u_order):
-            ops[1] = {lam: {nu: c * 2 for nu, c in row.items()} for lam, row in ops[1].items()}
+        ops[k] = {lam: {nu: c * 2 for nu, c in row.items()} for lam, row in ops[k].items()}
         return ops
 
     monkeypatch.setattr(fock, "a_k_operators", doubled)
@@ -480,22 +502,21 @@ def _double_a1(monkeypatch, at_u_order=None):
 def test_commutator_suite_fails_a_doubled_operator(monkeypatch):
     # [2A_1, A_0] = 2 and [A_0, 2A_1] = -2: the negated pair and the band
     # cut must not hide either failure
-    _double_a1(monkeypatch)
+    _double_a(monkeypatch, 1)
     r = a_commutator_suite(1, 2, 6)
     assert len(r) == 9
     assert {p for p, s in r.items() if s != "pass"} == {(1, 0), (0, 1)}, r
     assert r[(1, 0)] == r[(0, 1)] == "fail", r
 
 
-def test_commutator_suite_pair_whose_cutoffs_disagree_is_inconclusive(monkeypatch):
-    # the run at cutoff 6 + 2 extracts its operators through u^(2 + 8 + 2):
-    # doubling A_1 there alone leaves the two cutoffs disagreeing on
-    # [A_1, A_0] and [A_0, A_1], which decides nothing
-    _double_a1(monkeypatch, at_u_order=12)
-    r = a_commutator_suite(1, 2, 6)
-    assert len(r) == 9
-    assert {p for p, s in r.items() if s != "pass"} == {(1, 0), (0, 1)}, r
-    assert r[(1, 0)] == r[(0, 1)] == "inconclusive", r
+def test_commutator_suite_fails_a_doubled_a2(monkeypatch):
+    # [2A_2, A_-1] = -2: only the pair with k + l = 1 tells the factor, as
+    # [A_k, A_l] vanishes for every other pair whatever the scale
+    _double_a(monkeypatch, 2)
+    r = a_commutator_suite(2, 2, 6)
+    assert len(r) == 25
+    assert {p for p, s in r.items() if s != "pass"} == {(2, -1), (-1, 2)}, r
+    assert r[(2, -1)] == r[(-1, 2)] == "fail", r
 
 
 def test_worst_status_ranks_fail_over_inconclusive_over_pass():

@@ -247,24 +247,54 @@ def test_cli_unopenable_cache_is_a_usage_error(where, via_env, tmp_path, monkeyp
     assert not (tmp_path / "nodir").exists()
 
 
-def test_cli_undecided_truncation_exits_2(monkeypatch, capsys):
-    # an A-correlator that differs between its two cutoffs is undecided
-    from hurwitzlab import fock
-    from hurwitzlab.series import Series
-
-    monkeypatch.setattr(
-        fock, "a_vev", lambda mu, u_order, cutoff: Series.const(Fraction(cutoff), u_order)
-    )
-    fock._a_correlator.cache_clear()
-    try:
-        assert main(["fock", "--kmax", "1", "--cutoff", "3"]) == 2
-    finally:
-        fock._a_correlator.cache_clear()
+def test_cli_commutator_pair_above_its_band_exits_2(capsys):
+    # at cutoff 3 the state (2, 1) sits above every band, so each pair is
+    # inconclusive, and nothing else in the campaign is
+    assert main(["fock", "--kmax", "1", "--cutoff", "3"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "undecided truncation: A-correlator for (1,) unstable between cutoffs 6 and 8\n"
-    )
+    assert "Traceback" not in captured.err
+    rows = {row["name"]: row for row in json.loads(captured.out)["checks"]}
+    assert rows["commutators-kmax1"]["lhs"] == "inconclusive"
+    assert [name for name, row in rows.items() if row["status"] != "pass"] == ["commutators-kmax1"]
+
+
+def _double_connected(monkeypatch):
+    real = fock.a_connected
+    monkeypatch.setattr(fock, "a_connected", lambda mu, u_order: real(mu, u_order) * 2)
+
+
+def _double_a2(monkeypatch):
+    real = fock.a_k_operators
+
+    def doubled(matrix, ks, u_order):
+        ops = real(matrix, ks, u_order)
+        ops[2] = {lam: {nu: c * 2 for nu, c in row.items()} for lam, row in ops[2].items()}
+        return ops
+
+    monkeypatch.setattr(fock, "a_k_operators", doubled)
+
+
+# criterion-4 row families with no route comparison of their own: the
+# mutation, the fock flags, and every row that must fail
+FOCK_MUTATIONS = [
+    # the polynomiality fit of a doubled correlator stays symmetric and exact
+    (_double_connected, ["--kmax", "1", "--cutoff", "5"],
+     ["two-point-genus0-(1,3)", "correlator-route-h-1-[2]", "correlator-route-h-0-[1, 1, 1]",
+      "correlator-route-h-0-[2, 1]"]),
+    (_double_a2, ["--kmax", "2", "--cutoff", "6"], ["commutators-kmax2"]),
+]
+
+
+@pytest.mark.parametrize("mutate, flags, names", FOCK_MUTATIONS,
+                         ids=["doubled-a-connected", "doubled-a2"])
+def test_cli_fock_mutation_fails_its_rows(monkeypatch, capsys, mutate, flags, names):
+    mutate(monkeypatch)
+    assert main(["fock"] + flags) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    rows = json.loads(captured.out)["checks"]
+    assert [row["name"] for row in rows if row["status"] != "pass"] == names
+    assert all(row["status"] == "fail" for row in rows if row["name"] in names)
 
 
 def test_cli_holdout_miss_exits_1(monkeypatch, capsys, fresh_fit_cache):

@@ -45,6 +45,15 @@ def test_wk_known_table():
     assert wk_correlator(2, (3, 2)) == Fraction(29, 5760)
 
 
+def test_wk_dilaton_step_keeps_the_dvv_values():
+    # values of the DVV pivot alone, from before the dilaton step, which
+    # reads a tau_1 as 2g - 2 + n times the correlator of the n others
+    assert wk_correlator(2, (1, 4)) == Fraction(1, 384)
+    assert wk_correlator(1, (1, 1, 1)) == Fraction(1, 12)
+    assert wk_correlator(3, (1, 7)) == Fraction(5, 82944)
+    assert wk_correlator(4, (10,)) == Fraction(1, 7962624)
+
+
 def test_wk_genus0_closed_form():
     # <tau_{d_1}...tau_{d_n}>_0 = (n-3)!/prod d_i!
     from math import factorial
