@@ -6,9 +6,10 @@ half-integers lambda_i - i + 1/2.  All level bookkeeping below uses doubled
 
 Operators: the bosonic modes alpha_m, the diagonal transposition operator F2,
 the generating fields E_n(z) with their 1/zeta(z) regularization at n = 0,
-and the conjugated raising operators A(a, b) used for Hurwitz correlators,
-either evaluated at a positive integer a or with a kept symbolic (bivariate
-series in z and u).
+and the conjugated raising operators A(z, uz) used for Hurwitz correlators,
+either evaluated at a positive integer z = m (series in u) or with z kept
+symbolic: a series in x = uz over polynomials in z, where z^a x^b stands for
+z^(a+b) u^b.
 
 A vector is a dict {partition: coefficient} with no exact zero, and
 one loop (``_apply``) applies every operator to it, row by row.  alpha_m, F2
@@ -25,7 +26,8 @@ from functools import lru_cache
 from math import factorial
 
 from .hurwitz import branch_count, connected_from_disconnected
-from .partitions import Partition, check_partition
+from .multipoly import MultiPoly
+from .partitions import Partition, check_partition, enumerate_partitions
 from .rationals import pochhammer
 from .series import Series, exp_series, zeta_series
 
@@ -366,85 +368,85 @@ def h_from_a_correlator(g: int, mu) -> Fraction:
     return scale * coeff
 
 
-# -- symbolic A-operator (bivariate in z and u) ---------------------------------------
+# -- symbolic A-operator (a series in x = uz over polynomials in z) -----------------
 
 
-def _biv_from_x(xser: Series, z_order: int) -> Series:
-    """Lift a series in x to the bivariate ring via x -> u z (z outer).
-
-    The u-dependence of each z-coefficient is exactly one monomial, so the
-    inner series are exact; the x-truncation lives entirely in the outer
-    order (unknown x-coefficients touch equal z- and u-powers).
-    """
-    lo = xser.low
-    hi = xser.high
-    if xser.order is not None:
-        hi = min(hi, z_order)
-    coeffs = [Series(k, [xser.coeff(k)], None) for k in range(lo, hi + 1)]
-    zo = min(z_order, xser.order) if xser.order is not None else z_order
-    return Series(lo, coeffs, zo)
+def _cut(s: Series, top: int) -> Series:
+    """A series in x = uz over polynomials in z through total degree ``top``:
+    the x^b coefficient keeps z^a for a + b <= top, and x^b above ``top`` is
+    unknown."""
+    coeffs = [MultiPoly(1, {e: c for e, c in getattr(p, "terms", {(0,): p}).items()
+                            if e[0] + b <= top}) for b, p in enumerate(s.coeffs, s.low)]
+    return Series(s.low, coeffs, min(s.order, top))
 
 
-def _inv_pochhammer_z(k: int, z_order: int) -> Series:
-    """1/(z+1)_k in the convention of ``rationals.pochhammer``, expanded in z
-    and lifted to the bivariate ring (constant in u): the product of the
-    exact factors z + i, reciprocated when k >= 0."""
+def _inv_pochhammer_z(k: int, z_cut: int) -> MultiPoly:
+    """1/(z+1)_k in the convention of ``rationals.pochhammer``, as a
+    polynomial in z: the product of the exact factors z + i for k <= 0, and
+    for k > 0 their reciprocal, cut after z^z_cut."""
     acc = Series.const(Fraction(1), None)
     for i in range(1, k + 1) if k >= 0 else range(k + 1, 1):
         acc = acc * Series(0, [Fraction(i), Fraction(1)], None)
-    if k >= 0:
-        acc = acc.reciprocal(z_order)
-    return Series(acc.low, [Series.const(c) for c in acc.coeffs], z_order)
+    if k > 0:
+        acc = acc.reciprocal(z_cut)
+    return MultiPoly(1, {(a,): c for a, c in enumerate(acc.coeffs, acc.low)})
 
 
 def a_symbolic_matrix(z_order: int, cutoff: int):
-    """Matrix elements of A(z, uz) as bivariate series (z outer, u inner).
+    """Matrix elements of A(z, uz) through z^z_order, each a series in
+    x = uz over polynomials in z: the term z^a x^b stands for z^(a+b) u^b.
 
-    Returns dict {(lam_in, lam_out): Series-over-Series}.  Entries are exact
-    on the energy window; states leaving the window are dropped.
+    Returns {(lam_in, lam_out): Series}, known through x^z_order, whose x^b
+    coefficient holds z^a for a + b <= z_order.  Entries are exact on the
+    energy window; states leaving the window are dropped.
     """
-    from .partitions import enumerate_partitions
-
-    basis = [()] + [
-        lam for d in range(1, cutoff + 1) for lam in enumerate_partitions(d)
-    ]
-    zwork = z_order + cutoff + 2
-    zx = zeta_series(zwork + 6)
-    # prefactor exp(z log(zeta(uz)/uz))
-    log_unit = Series(0, zx.coeffs, zx.order - 1).log()  # log(zeta(x)/x)
-    pref = _biv_from_x(log_unit, zwork).shift(1).exp()
+    basis = [()] + [lam for d in range(1, cutoff + 1) for lam in enumerate_partitions(d)]
+    xwork = z_order + cutoff + 2
+    zx = zeta_series(xwork + 6)
+    # prefactor exp(z log(zeta(x)/x)), polynomial in z on each x^b
+    log_unit = Series(0, zx.coeffs, zx.order - 1).log()
+    pref = (log_unit * MultiPoly.var(1, 0)).exp()
+    # No z-power is negative, and 1/(z+1)_k for k > 0 is the one factor that
+    # is not polynomial in z: cut after z^(z_order + cutoff + 1), it leaves
+    # every product's z^a at or below the cut exact.  An E_k(x) entry starts
+    # at x^-1 or later, so c_k's x^b coefficient is read through
+    # z^(z_order + 1 - b), which is under that cut for b >= -cutoff; cutting
+    # c_k there keeps every term read and leaves the entries independent of
+    # the cutoff.
     coeff = {}
-    for k, zk in _biv_from_x(zx, zwork).powers(-cutoff, cutoff, zwork).items():
-        # an E_k(x) entry starts at x^-1 or later, so z^(z_order+1) of
-        # coeff[k] is the last power that reaches z^z_order of a row product
-        coeff[k] = (pref * zk * _inv_pochhammer_z(k, zwork)).truncate(z_order + 1)
-    # the product with coeff[k] reads its entry through z^(z_order - low);
+    for k, zk in zx.powers(-cutoff, cutoff, xwork).items():
+        coeff[k] = _cut(pref * zk * _inv_pochhammer_z(k, z_order + cutoff + 1), z_order + 1)
+    # the product with coeff[k] reads its entry through x^(z_order - low);
     # a zero coeff[k] (k > z_order + 1) still gives its targets a zero entry
     reads = {k: z_order - ck.low for k, ck in coeff.items()}
     out, memo = {}, {}
     for lam in basis:
-        row = _a_row(lam, coeff, lambda s: _biv_from_x(s, zwork), reads, cutoff, memo)
-        for nu, biv in row.items():
-            out[(lam, nu)] = biv.truncate(z_order)
+        for nu, entry in _a_row(lam, coeff, lambda s: s, reads, cutoff, memo).items():
+            out[(lam, nu)] = _cut(entry, z_order)
     return out
 
 
 def a_k_operators(matrix, ks, u_order: int):
-    """Extract the z^k coefficient operators from the symbolic matrix.
+    """The operators A_k, the z^k coefficients of a symbolic matrix: A_k's
+    u^b coefficient is z^(k-b) of an entry's x^b coefficient.  Each entry's
+    terms are read once, z^a x^b into A_(a+b).  The u-series are exact
+    Laurent polynomials, truncated to ``u_order``; an exact zero is dropped.
 
     Returns {k: {lam_in: {lam_out: u-Series}}}.
     """
     out = {k: {} for k in ks}
-    for (lin, lout), biv in matrix.items():
-        for k in ks:
-            if biv.order is not None and k > biv.order:
-                raise ValueError("z-order too small for the requested extraction")
-            c = biv.coeff(k)
-            if isinstance(c, (int, Fraction)):
-                continue
-            c = c.truncate(u_order)
-            if not c.is_zero():
-                out[k].setdefault(lin, {})[lout] = c
+    for (lin, lout), entry in matrix.items():
+        if max(out) > entry.order:
+            raise ValueError("z-order too small for the requested extraction")
+        layers = {}
+        for b, p in enumerate(entry.coeffs, entry.low):
+            for (a,), c in p.terms.items():
+                if a + b in out:
+                    layers.setdefault(a + b, {})[b] = c
+        for k, cs in layers.items():
+            lo = min(cs)
+            u = Series(lo, [cs.get(b, 0) for b in range(lo, max(cs) + 1)], None)
+            out[k].setdefault(lin, {})[lout] = u.truncate(u_order)
     return out
 
 
@@ -475,8 +477,8 @@ def _commutators(matrix, kmax: int, u_order: int, cutoff: int) -> dict:
     Each A_l v is applied once per test state, and A_k A_l v and A_l A_k v
     once per unordered pair {k, l}; [A_l, A_k] is the negation of
     [A_k, A_l].  Products against Laurent entries lose validity, so the
-    operators are extracted through u^(u_order + cutoff + 2); a coefficient
-    read past the validity a product keeps raises.
+    operators are extracted through u^(u_order + cutoff + 2); only an exact
+    zero is dropped, so an entry that reads zero through its order keeps it.
     """
     ks = list(range(-kmax, kmax + 1))
     u_work = u_order + cutoff + 2
@@ -484,9 +486,9 @@ def _commutators(matrix, kmax: int, u_order: int, cutoff: int) -> dict:
     one, zero = Series.const(Fraction(1), u_work), Series.zero(u_work)
 
     def apply(k, vec, top=None):
-        # A_k vec through u^u_work, dropping what vanishes there
+        # A_k vec through u^u_work; only an exact zero is dropped (``_apply``)
         out = _apply(vec, lambda lam: ops[k].get(lam, {}), top)
-        return {nu: s for nu, c in out.items() if not (s := c.truncate(u_work)).is_zero()}
+        return {nu: c.truncate(u_work) for nu, c in out.items()}
 
     states = [lam for lam in _TEST_STATES if energy(lam) < cutoff]
     single = {(l, lam): apply(l, {lam: one}) for l in ks for lam in states}
@@ -516,7 +518,8 @@ def a_commutator_suite(kmax: int = 3, u_order: int = 2, cutoff: int = 7) -> dict
     entries at a cutoff are the window of a deeper build, so one matrix
     built at cutoff - 1 through z^kmax holds every entry it reads, exactly.
     A u-coefficient other than the expected one fails; a pair with a test
-    state under the cutoff above its band, or with none, is inconclusive.
+    state under the cutoff above its band, or with none, or with an entry
+    known through less than u^u_order, is inconclusive.
     A pair takes the worst status of its checks (``_worst_status``).
     Returns {(k, l): "pass" | "fail" | "inconclusive"}."""
     ks = range(-kmax, kmax + 1)
@@ -531,6 +534,9 @@ def a_commutator_suite(kmax: int = 3, u_order: int = 2, cutoff: int = 7) -> dict
         for lam, row in comm.items():
             for nu in row.keys() | {lam}:
                 c = row.get(nu, zero)
+                if c.order < u_order:
+                    yield "inconclusive"
+                    continue
                 for q in range(min(c.low, 0), u_order + 1):
                     want = expected if (nu, q) == (lam, 0) else 0
                     yield "fail" if c.coeff(q) != want else "pass"

@@ -9,13 +9,10 @@ the minimal valid order of its inputs.  ``compose`` is the one substitution:
 series below, and ``powers`` builds every table of truncated powers;
 ``reverse`` reads its Lagrange inversion off one such table.
 
-Coefficients may be Fractions, ints, or any ring-like object supporting
-``+``, ``-``, ``*`` with itself and with ints (e.g. MultiPoly).  Series
-coefficients give a nested (bivariate) expansion, but arithmetic reads a
-Series operand as a series in the outer variable:
-``Series(1, [1, 1], 3) * Series.x(3)`` multiplies by z.  A nested
-coefficient must be lifted into an outer Series before it enters a
-product, as ``fock._biv_from_x`` lifts each x-coefficient.
+Coefficients are Fractions, ints or ``MultiPoly`` polynomials.  A ``Series``
+coefficient raises ``TypeError``, since arithmetic would read it as a series
+in the outer variable: a two-variable expansion is a series over polynomials
+instead, as in ``fock.a_symbolic_matrix``.
 """
 
 from __future__ import annotations
@@ -27,15 +24,14 @@ from .rationals import bernoulli
 
 
 def is_zero_coeff(c) -> bool:
+    """A zero scalar or a zero polynomial."""
     if isinstance(c, (int, Fraction)):
         return c == 0
-    z = getattr(c, "is_zero", None)
-    if z is not None:
-        return z() if callable(z) else z
-    return c == 0
+    return c.is_zero()
 
 
 def _inv_coeff(c):
+    """1/c for a scalar; a polynomial must be a nonzero constant."""
     if isinstance(c, (int, Fraction)):
         return Fraction(1) / c
     return c.reciprocal()
@@ -56,6 +52,8 @@ class Series:
 
     def __init__(self, low, coeffs, order):
         coeffs = list(coeffs)
+        if Series in map(type, coeffs):
+            raise TypeError("a Series coefficient would be read as an outer series")
         # canonicalize: strip known-zero leading coefficients
         while coeffs and is_zero_coeff(coeffs[0]):
             coeffs.pop(0)
@@ -217,12 +215,6 @@ class Series:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def shift(self, k: int):
-        """Multiply by z^k."""
-        return Series(
-            self.low + k, list(self.coeffs), None if self.order is None else self.order + k
-        )
 
     def truncate(self, order):
         """Restrict the validity order (never extends it)."""

@@ -210,44 +210,33 @@ def test_boundary_coefficient_is_a_witness(monkeypatch):
 
 def test_w02_x_expansion_sanity():
     # the x-expansion of W_{0,2} minus the double x-pole equals the mixed
-    # second derivative of the unstable two-point function:
-    # sum ab/(a+b) a^a b^b/(a! b!) x1^a x2^b, checked via nested Laurent series
+    # second derivative of the unstable two-point function,
+    # sum D(a, b) x1^a x2^b with D(a, b) = ab/(a+b) a^a b^b/(a! b!).  On the
+    # line x2 = c x1 the x1^n coefficient is sum_{a+b=n} D(a, b) c^b, a
+    # polynomial of degree n in c: matching it at n + 1 distinct c checks
+    # every D(a, b) with a + b = n (Vandermonde), so a, b <= 6 as before
     from math import factorial
 
     from hurwitzlab.lambert import t_of_x
-    from hurwitzlab.series import Series
 
     order = 6
-    inner_order = 14
-    tx = t_of_x(inner_order)
-    # inner ring: Laurent series in x2; outer ring: series in x1
-    t1 = Series(0, [Series.const(c, None) for c in tx.coeffs], order)
-    t2_inner = Series(0, list(tx.coeffs), inner_order)
-    t2_lift = Series.const(t2_inner, order)  # constant in x1
-    num = t1**2 * (1 + t1) * t2_lift**2 * (1 + t2_lift)
-    den = (t2_lift - t1) ** 2
-    w02 = num * den.reciprocal(order)
-    x1 = Series.x(order)
-    x2_lift = Series.const(Series.x(inner_order), order)
-    xker = (x1 * x2_lift) * ((x2_lift - x1) ** 2).reciprocal(order)
-    diff = w02 - xker
-    checked = 0
-    for a in range(1, order + 1):
-        inner = diff.coeff(a)
-        if isinstance(inner, (int, Fraction)):
-            assert inner == 0
-            continue
-        assert all(inner.coeff(q) == 0 for q in range(inner.low, 1))
-        top = order if inner.order is None else min(order, inner.order)
-        for b in range(1, top + 1):
-            want = (
-                Fraction(a * b, a + b)
-                * Fraction(a**a, factorial(a))
-                * Fraction(b**b, factorial(b))
-            )
-            assert inner.coeff(b) == want, (a, b)
-            checked += 1
-    assert checked >= 25
+    top = 2 * order
+    tx = t_of_x(top + 4)
+
+    def D(a, b):
+        return Fraction(a * b, a + b) * Fraction(a**a, factorial(a)) * Fraction(b**b, factorial(b))
+
+    checked = set()
+    for n in range(top + 1):
+        for c in map(Fraction, range(2, n + 3)):
+            t2 = Series(tx.low, [t * c**k for k, t in enumerate(tx.coeffs, tx.low)], tx.order)
+            w02 = tx**2 * (1 + tx) * t2**2 * (1 + t2) * ((t2 - tx) ** 2).reciprocal(top)
+            diff = w02 - c / (c - 1) ** 2  # x1 x2 / (x2 - x1)^2 on the line
+            assert diff.order >= top and diff.low >= 0
+            want = sum(D(a, n - a) * c ** (n - a) for a in range(1, n))
+            assert diff.coeff(n) == want, (n, c)
+        checked |= {(a, n - a) for a in range(1, n)}
+    assert {(a, b) for a in range(1, order + 1) for b in range(1, order + 1)} <= checked
 
 
 def test_cutjoin_identity_03_11():

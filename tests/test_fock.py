@@ -6,10 +6,12 @@ import pytest
 from hurwitzlab.fock import (
     _apply,
     _commutators,
+    _cut,
     _worst_status,
     a_commutator_suite,
     a_connected,
     a_correlator,
+    a_k_operators,
     a_symbolic_matrix,
     a_vev,
     alpha_apply,
@@ -26,6 +28,7 @@ from hurwitzlab.fock import (
     vev_hurwitz,
 )
 from hurwitzlab.hurwitz import disconnected_by_b
+from hurwitzlab.multipoly import MultiPoly
 from hurwitzlab.partitions import central_character_f2, dim_hook, enumerate_partitions, mn_character
 from hurwitzlab.series import Series
 
@@ -260,26 +263,14 @@ def test_hconexpr_reproduces_hurwitz():
     assert h_from_a_correlator(0, (2, 1)) == 4
 
 
-def _inner(biv, zp, q):
-    c = biv.coeff(zp)
-    if isinstance(c, (int, Fraction)):
-        assert c == 0
-        return Fraction(0)
-    return c.coeff(q)
-
-
 def test_symbolic_vacuum_expectation_printed():
+    # x = uz: u^{-1}: 1/z; u^0: 0; u^1: z(z-1)/24
     got = a_symbolic_matrix(3, 6)[((), ())]
-    # u^{-1}: 1/z; u^0: 0; u^1: z(z-1)/24
-    assert _inner(got, -1, -1) == 1
-    for zp in range(0, got.order + 1):
-        assert _inner(got, zp, -1) == 0, zp
-    assert _inner(got, 2, 1) == Fraction(1, 24)
-    assert _inner(got, 1, 1) == Fraction(-1, 24)
-    assert _inner(got, 0, 1) == 0
-    assert _inner(got, -1, 1) == 0
-    for zp in range(-1, got.order + 1):
-        assert _inner(got, zp, 0) == 0, zp
+    z = MultiPoly.var(1, 0)
+    assert got.low == -1 and got.order == 3
+    assert got.coeff(-1) == 1
+    assert got.coeff(0) == 0
+    assert got.coeff(1) == (z - 1) * Fraction(1, 24)
 
 
 def test_a_correlator_polynomiality_one_point():
@@ -476,13 +467,16 @@ def test_symbolic_matrix_builds_share_no_entries():
 
 
 def test_symbolic_matrix_is_a_truncation_of_a_deeper_one():
-    # each per-k coefficient is kept only through z^(z_order+1); a deeper
-    # build truncated back must give every entry, validity orders included
+    # each c_k is kept only through total degree z_order + 1; a deeper build
+    # must give the same operators A_k, validity orders included, and cut
+    # back to z^2 the same entries
     low = a_symbolic_matrix(2, 6)
     high = a_symbolic_matrix(4, 6)
     assert set(low) == set(high) and len(low) == 300
-    for key, biv in low.items():
-        assert biv == high[key].truncate(2), key
+    ks = range(-2, 3)
+    assert a_k_operators(low, ks, 10) == a_k_operators(high, ks, 10)
+    for key, entry in low.items():
+        assert entry == _cut(high[key], 2), key
 
 
 def _double_a(monkeypatch, k):

@@ -297,6 +297,90 @@ def test_cli_fock_mutation_fails_its_rows(monkeypatch, capsys, mutate, flags, na
     assert all(row["status"] == "fail" for row in rows if row["name"] in names)
 
 
+def _drop_sigma_z4(monkeypatch):
+    real = lambert.sigma_z
+    monkeypatch.setattr(lambert, "sigma_z",
+                        lambda order: real(order) - Series(4, [real(order).coeff(4)], order))
+
+
+def _double_r_from_curve(monkeypatch):
+    real = hodge.r_from_curve
+    monkeypatch.setattr(hodge, "r_from_curve", lambda order: real(order) * 2)
+
+
+def _w03_plus(extra):
+    def mutate(monkeypatch):
+        real = bm.w_poly
+        monkeypatch.setattr(bm, "w_poly",
+                            lambda g, n: real(g, n) + extra if (g, n) == (0, 3) else real(g, n))
+    return mutate
+
+
+_T = [MultiPoly.var(3, i) for i in range(3)]
+
+# row families that compare one route with printed values or an invariant:
+# the mutation, the command, and every row that must fail
+ROUTE_MUTATIONS = [
+    # sigma-tilde(t) = 1/sigma(1/t): a z^4 term of sigma moves w^2 onwards
+    (_drop_sigma_z4, ["curve"],
+     ["sigma-z4", "sigma-tilde-w2", "sigma-tilde-w3", "sigma-tilde-w4", "odd-principal-parts-rho"]),
+    (_double_r_from_curve, ["curve"], ["r-equality-z8", "r-z1", "r-z2", "r-z3"]),
+    # symmetric and divisible by every t_i^2, of degree 4 > 3 in each t_i
+    (_w03_plus(sum(_T[i] ** 4 * _T[i - 1] ** 2 * _T[i - 2] ** 2 for i in range(3))),
+     ["bm", "--g", "0", "--n", "3"],
+     ["w-degree-0-3", "w-three-forms-0-3", "w-fit-reconstruction-0-3", "w-x-expansion-0-3"]),
+    # symmetric and of degree 1 in each t_i, divisible by no t_i^2
+    (_w03_plus(_T[0] * _T[1] * _T[2]), ["bm", "--g", "0", "--n", "3"],
+     ["w-divisible-0-3", "w-three-forms-0-3", "w-fit-reconstruction-0-3", "w-x-expansion-0-3"]),
+]
+
+
+@pytest.fixture
+def fresh_sigma_caches():
+    """No sigma-tilde or eta built from a mutated sigma outlives the test."""
+    caches = (lambert.sigma_tilde_w, lambert.eta_series)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+@pytest.mark.parametrize("mutate, argv, names", ROUTE_MUTATIONS,
+                         ids=["sigma-z4-dropped", "doubled-r-from-curve", "w-degree", "w-divisible"])
+def test_cli_route_mutation_fails_its_rows(monkeypatch, capsys, fresh_sigma_caches,
+                                           mutate, argv, names):
+    mutate(monkeypatch)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    rows = json.loads(captured.out)["checks"]
+    assert [row["name"] for row in rows if row["status"] != "pass"] == names
+    assert all(row["status"] == "fail" for row in rows if row["name"] in names)
+
+
+def test_cli_short_operator_entry_is_inconclusive(monkeypatch, capsys):
+    # A_1 known only through u^1 while the suite compares through u^2: the
+    # pairs that read it cannot be decided, and nothing in them reads as 0
+    real = fock.a_k_operators
+
+    def short(matrix, ks, u_order):
+        ops = real(matrix, ks, u_order)
+        ops[1] = {lam: {nu: c.truncate(1) for nu, c in row.items()} for lam, row in ops[1].items()}
+        return ops
+
+    monkeypatch.setattr(fock, "a_k_operators", short)
+    r = fock.a_commutator_suite(1, 2, 6)
+    assert {p: s for p, s in r.items() if s != "pass"} == dict.fromkeys(
+        [(-1, 1), (0, 1), (1, -1), (1, 0), (1, 1)], "inconclusive")
+    assert main(["fock", "--kmax", "1", "--cutoff", "6"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    rows = {row["name"]: row for row in json.loads(captured.out)["checks"]}
+    assert rows["commutators-kmax1"]["lhs"] == "inconclusive"
+    assert [name for name, row in rows.items() if row["status"] != "pass"] == ["commutators-kmax1"]
+
+
 def test_cli_holdout_miss_exits_1(monkeypatch, capsys, fresh_fit_cache):
     # scaled values polynomial at the fit points 1..3 and the first holdout
     # 4, and broken at the second holdout 5

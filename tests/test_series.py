@@ -343,3 +343,21 @@ def test_reverse_ignores_coefficients_past_the_order(a, ta):
     a[0] = a[0] or 1
     f, f_full = _known_and_completed(1, a, ta)
     _agree_where_claimed(f.reverse(), f_full.reverse())
+
+
+def test_a_series_coefficient_is_refused():
+    # a Series coefficient would be read as a series in the outer variable
+    u = Series.x(3)
+    with pytest.raises(TypeError):
+        Series(1, [u], 3)
+    with pytest.raises(TypeError):
+        Series.const(Series.x(3))
+    with pytest.raises(TypeError):
+        Series(1, [u], 3).compose(Series(1, [1, 1], 3))
+
+
+def test_a_series_operand_is_an_outer_series():
+    # (z + z^2) times and plus z + O(z^4), all in the one variable
+    u = Series.x(3)
+    assert Series(1, [1, 1], 3) * u == Series(2, [1, 1], 4)
+    assert Series(1, [1, 1], 3) + u == Series(1, [2, 1], 3)
