@@ -195,47 +195,53 @@ def _x_to_u(xser: Series, m: int, u_order: int) -> Series:
     return Series(xser.low, coeffs, order)
 
 
-def _a_row(lam: Partition, coeff: dict, lift, reads: dict, cutoff: int, memo: dict) -> dict:
-    """Row lam of sum_k coeff[k] E_k(x), each E_k(x) entry lifted by ``lift``.
+def _a_row(lam: Partition, term, lift, cutoff: int, memo: dict, kmin: int) -> dict:
+    """Row lam of sum_k c_k E_k(x), each E_k(x) entry lifted by ``lift``.
 
-    The entry is the E_0 diagonal at k = 0 and sign * e^{rate x} for each
-    move otherwise, built through x^reads[k], the last power its product
-    with coeff[k] reads.  Off the diagonal that product depends on lam only
-    through (k, rate): it is built once per operator into ``memo``, and
-    each move applies its sign.  Only the k that land on an energy in
-    [0, cutoff] are visited, so no state above the cutoff is multiplied
-    out; each target comes from one (k, move), so the row is {nu: entry}.
+    ``term(k)`` gives c_k and read_k, the last power of x its product with
+    the entry reads.  The entry is the E_0 diagonal at k = 0 and
+    sign * e^{rate x} for each move otherwise, built through x^read_k.  Off
+    the diagonal that product depends on lam only through (k, rate): it is
+    built once per operator into ``memo``, and each move applies its sign.
+    Only the k >= kmin that land in [0, cutoff] are asked for, so no state
+    above the cutoff is multiplied out; the row is {nu: entry}, one per move.
     """
     e = energy(lam)
     row = {}
-    for k, ck in coeff.items():
-        if not e - cutoff <= k <= e:
-            continue
+    for k in range(max(e - cutoff, kmin), e + 1):
+        ck, read = term(k)
         if k == 0:
-            row[lam] = ck * lift(_diagonal_e0_x(lam, reads[0]))
+            row[lam] = ck * lift(_diagonal_e0_x(lam, read))
             continue
         for nu, sign, rate in _e_moves(lam, k):
             entry = memo.get((k, rate))
             if entry is None:
-                entry = memo[(k, rate)] = ck * lift(exp_series(reads[k], rate))
+                entry = memo[(k, rate)] = ck * lift(exp_series(read, rate))
             row[nu] = entry * sign
     return row
 
 
 @lru_cache(maxsize=None)
-def _integer_table(m: int, w: int, top: int):
-    """The coefficients {k: c_k} of A(m, um) for -m <= k <= top, built
-    through u^w, and the (k, rate) entry memo of the rows that read them.
-    Every integer entry is built through the one work order w, which is in
-    the key, so every application with this key shares the memo."""
+def _integer_operator(m: int, w: int):
+    """zeta(um), 1/zeta(um) and the prefactor (zeta(um)/(um))^m through u^w,
+    and the (k, rate) entry memo shared by every A(m, um) at work order w."""
     zeta_u = _x_to_u(zeta_series(w + m + 4), m, w + m + 2)
     # zeta(um)/(um): shift down one power of u, divide by m
-    zeta_over_um = Series(
-        0, [zeta_u.coeff(k + 1) * Fraction(1, m) for k in range(0, w + 1)], w
-    )
-    pref = zeta_over_um**m
-    zpows = zeta_u.powers(-m, top, w)
-    return {k: pref * zk * (Fraction(1) / pochhammer(m, k)) for k, zk in zpows.items()}, {}
+    zeta_over_um = Series(0, [zeta_u.coeff(k + 1) / m for k in range(0, w + 1)], w)
+    return zeta_u, zeta_u.reciprocal(w), zeta_over_um**m, {}
+
+
+@lru_cache(maxsize=None)
+def _integer_coeff(m: int, w: int, k: int) -> Series:
+    """c_k = pref zeta(um)^k / (m+1)_k of A(m, um) through u^w, for k >= -m:
+    the prefactor at k = 0, else c_j, j the index next to k towards 0,
+    times zeta(um)^(k-j) (m+1)_j / (m+1)_k."""
+    zeta_u, inv, pref, _ = _integer_operator(m, w)
+    if k == 0:
+        return pref
+    j = k - 1 if k > 0 else k + 1
+    step = (zeta_u if k > 0 else inv) * (pochhammer(m, j) / pochhammer(m, k))
+    return (_integer_coeff(m, w, j) * step).truncate(w)
 
 
 def apply_a_integer(m: int, v: dict, work_order: int, cutoff: int) -> dict:
@@ -244,15 +250,14 @@ def apply_a_integer(m: int, v: dict, work_order: int, cutoff: int) -> dict:
 
     All auxiliary series are built at ``work_order``; validity propagates
     through the coefficients, so callers truncate once at the very end.
+    c_k vanishes for k < -m, so a row of lam asks only for the c_k with
+    max(|lam| - cutoff, -m) <= k <= |lam|, each built on its first read.
     """
     if m <= 0:
         raise ValueError("integer A-operator needs a positive argument")
-    w = work_order
-    # a row of lam visits only k <= |lam|; a state above the cutoff still
-    # moves into it, so the table reaches the top energy whatever the cutoff
-    coeff, memo = _integer_table(m, w, max(map(energy, v), default=0))
-    lift, reads = (lambda s: _x_to_u(s, m, w)), dict.fromkeys(coeff, w)
-    return _apply(v, lambda lam: _a_row(lam, coeff, lift, reads, cutoff, memo))
+    w, memo = work_order, _integer_operator(m, work_order)[3]
+    term, lift = (lambda k: (_integer_coeff(m, w, k), w)), (lambda s: _x_to_u(s, m, w))
+    return _apply(v, lambda lam: _a_row(lam, term, lift, cutoff, memo, -m))
 
 
 @lru_cache(maxsize=None)
@@ -275,15 +280,19 @@ def _diagonal_e0_x(lam: Partition, order: int) -> Series:
 def a_vev(mu, u_order: int, cutoff: int) -> Series:
     """Disconnected <A(mu_1, u mu_1) ... A(mu_n, u mu_n)> at one cutoff."""
     mu = tuple(int(m) for m in mu)
-    work = u_order + 2 * sum(mu) + len(mu) + 6
+    # A factor c_k * entry has u-valuation k (-1 on the E_0 diagonal); built
+    # at order w it is known through w - max(k, 0) above that.  A product is
+    # known through its valuation plus the least margin of its factors, a sum
+    # through its least-known term, and the k of a path from the vacuum back
+    # to it sum to 0: with D diagonal steps and largest k = K the path is
+    # known through w - D - K.  D <= len(mu) without a k > 0; otherwise the
+    # steps k >= -m that give back K have m summing to K or more, leaving at
+    # least D + 1 of |mu| to the rest: D + K <= |mu| - 1.  Too small w raises.
+    work = u_order + max(len(mu), sum(mu) - 1)
     v = vacuum(one=Series.const(Fraction(1), work))
-    # With ``left`` operators still to apply, an entry at energy E reaches
-    # the vacuum through ``left`` factors c_k * entry whose k sum to E.
-    # c_k = pref zeta(um)^k / (m+1)_k has u-valuation k and an entry
-    # e^{rate um} valuation >= 0, while the E_0 diagonal has valuation -1, so
-    # the factors have valuation >= E - left: u^u_order of the result reads
-    # the entry only through u^(u_order + left - E).  The last operator
-    # builds only the vacuum target, the one value read.
+    # With ``left`` operators still to apply, the factors taking an entry at
+    # energy E to the vacuum (the last one's only target) have k summing to
+    # E and valuation >= E - left: u^u_order reads it through u^(u_order + left - E).
     for left in range(len(mu) - 1, -1, -1):
         v = apply_a_integer(mu[left], v, work, cutoff if left else 0)
         v = {lam: c.truncate(u_order + left - energy(lam)) for lam, c in v.items()}
@@ -375,8 +384,8 @@ def _cut(s: Series, top: int) -> Series:
     """A series in x = uz over polynomials in z through total degree ``top``:
     the x^b coefficient keeps z^a for a + b <= top, and x^b above ``top`` is
     unknown."""
-    coeffs = [MultiPoly(1, {e: c for e, c in getattr(p, "terms", {(0,): p}).items()
-                            if e[0] + b <= top}) for b, p in enumerate(s.coeffs, s.low)]
+    coeffs = [MultiPoly(1, {e: c for e, c in p.terms.items() if e[0] + b <= top})
+              for b, p in enumerate(s.coeffs, s.low)]
     return Series(s.low, coeffs, min(s.order, top))
 
 
@@ -418,10 +427,10 @@ def a_symbolic_matrix(z_order: int, cutoff: int):
         coeff[k] = _cut(pref * zk * _inv_pochhammer_z(k, z_order + cutoff + 1), z_order + 1)
     # the product with coeff[k] reads its entry through x^(z_order - low);
     # a zero coeff[k] (k > z_order + 1) still gives its targets a zero entry
-    reads = {k: z_order - ck.low for k, ck in coeff.items()}
+    terms = {k: (ck, z_order - ck.low) for k, ck in coeff.items()}
     out, memo = {}, {}
     for lam in basis:
-        for nu, entry in _a_row(lam, coeff, lambda s: s, reads, cutoff, memo).items():
+        for nu, entry in _a_row(lam, terms.get, lambda s: s, cutoff, memo, -cutoff).items():
             out[(lam, nu)] = _cut(entry, z_order)
     return out
 

@@ -236,15 +236,14 @@ def _elsv_rows(g: int, n: int, holdout: int = 2) -> list:
     coefficients = ((f"mu^{k}", fit.poly.coeff(k), hodge_integral(g, k))
                     for k in _simplex(n, deg))
     matched = _first_mismatch(coefficients, "fit", "Hodge")
-    checks = [check(f"elsv-coefficients-{g}-{n}", "fitted coefficients equal signed Hodge integrals",
-                    matched, True)]
-    if matched is True:
-        sample = (deg,) + (0,) * (n - 1)
-        checks.append(
-            check(f"elsv-top-coefficient-{g}-{n}", "top psi coefficient",
-                  fit.poly.coeff(sample), hodge_integral(g, sample))
-        )
-    return checks
+    # the top row repeats one comparison, so a wrong top coefficient fails both
+    sample = (deg,) + (0,) * (n - 1)
+    return [
+        check(f"elsv-coefficients-{g}-{n}", "fitted coefficients equal signed Hodge integrals",
+              matched, True),
+        check(f"elsv-top-coefficient-{g}-{n}", "top psi coefficient",
+              fit.poly.coeff(sample), hodge_integral(g, sample)),
+    ]
 
 
 def campaign_fock(u_order: int = 1, kmax: int = 3, cutoff: int = 7) -> list:

@@ -187,7 +187,7 @@ class Series:
         n = high - low + 1
         if n <= 0:
             return Series.zero(order)
-        out = [0] * n
+        out = [None] * n
         for i, a in enumerate(self.coeffs):
             if is_zero_coeff(a):
                 continue
@@ -198,8 +198,10 @@ class Series:
                     break
                 if is_zero_coeff(b):
                     continue
-                out[k - low] = out[k - low] + a * b
-        return Series(low, out, order)
+                cur = out[k - low]
+                out[k - low] = a * b if cur is None else cur + a * b
+        zero = out[0] * 0  # out[0] = a0 * b0 is nonzero: a zero of the product's type
+        return Series(low, [zero if c is None else c for c in out], order)
 
     def __rmul__(self, other):
         return self.__mul__(other)

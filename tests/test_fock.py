@@ -393,6 +393,68 @@ def test_graded_a_vev_matches_the_plain_chain():
                             want.low, want.coeffs, want.order), (mu, u_order, cutoff)
 
 
+def _graded_chain(mu, u_order, work):
+    """a_vev's chain at cutoff |mu|, at the working order ``work``."""
+    v = vacuum(one=Series.const(Fraction(1), work))
+    for left in range(len(mu) - 1, -1, -1):
+        v = apply_a_integer(mu[left], v, work, sum(mu) if left else 0)
+        v = {lam: c.truncate(u_order + left - energy(lam)) for lam, c in v.items()}
+    return v.get((), Series.zero(u_order)).truncate(u_order)
+
+
+def test_certified_work_order_equals_the_old_one():
+    # work = u_order + max(len(mu), |mu| - 1) against the earlier guess
+    # u_order + 2|mu| + len(mu) + 6, validity orders included
+    for d in range(1, 6):
+        for lam in enumerate_partitions(d):
+            for mu in set(permutations(lam)):
+                for u_order in range(-1, 4):
+                    got = a_vev(mu, u_order, d)
+                    want = _graded_chain(mu, u_order, u_order + 2 * d + len(mu) + 6)
+                    assert (got.low, got.coeffs, got.order) == (
+                        want.low, want.coeffs, want.order), (mu, u_order)
+
+
+def test_work_order_one_below_the_certified_one_raises(monkeypatch):
+    # A(1, u) on the vacuum is its E_0 diagonal, of u-valuation -1: built
+    # through u^(u_order + 1 - 1) it is known only through u^(u_order - 1)
+    from hurwitzlab import fock
+
+    real = fock.apply_a_integer
+    monkeypatch.setattr(fock, "apply_a_integer", lambda m, v, w, cutoff: real(m, v, w - 1, cutoff))
+    for u_order in range(-1, 4):
+        with pytest.raises(ValueError, match="working order too small"):
+            fock.a_vev((1,), u_order, 1)
+
+
+def test_one_point_correlator_builds_only_c0(monkeypatch):
+    # the one operator takes the vacuum to the vacuum, through E_0 alone
+    from hurwitzlab import fock
+
+    fock._a_correlator.cache_clear()
+    real, calls = fock._integer_coeff, []
+    monkeypatch.setattr(fock, "_integer_coeff", lambda *a: calls.append(a) or real(*a))
+    try:
+        a_correlator((6,), 1)
+    finally:
+        fock._a_correlator.cache_clear()
+    assert set(calls) == {(6, 6, 0)}
+
+
+def test_integer_coefficients_are_shared_across_tops():
+    # c_k depends on (m, w, k) alone: a chain reaching k = 2 after one that
+    # read only c_0 builds c_1 and c_2, and reads c_0 back
+    from hurwitzlab import fock
+
+    fock._integer_coeff.cache_clear()
+    one = Series.const(Fraction(1), 5)
+    apply_a_integer(1, vacuum(one=one), 5, 0)
+    assert fock._integer_coeff.cache_info().misses == 1
+    apply_a_integer(1, {(2,): one}, 5, 2)
+    info = fock._integer_coeff.cache_info()
+    assert (info.misses, info.currsize) == (3, 3), info
+
+
 def test_symbolic_matrix_at_a_cutoff_is_the_window_of_a_deeper_one():
     # the commutator suite's one build at cutoff - 1 holds the entries a
     # deeper build would give the rows it reads

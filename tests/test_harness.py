@@ -318,9 +318,18 @@ def _w03_plus(extra):
 
 _T = [MultiPoly.var(3, i) for i in range(3)]
 
+
+def _criterion_alone(idx, mutate):
+    """``mutate``, with ``all`` running criterion ``idx`` alone."""
+    def run(monkeypatch):
+        mutate(monkeypatch)
+        monkeypatch.setattr(harness, "ALL_CRITERIA", {idx: harness.ALL_CRITERIA[idx]})
+    return run
+
+
 # row families that compare one route with printed values or an invariant:
 # the mutation, the command, and every row that must fail
-ROUTE_MUTATIONS = [
+CLI_ROUTE_MUTATIONS = [
     # sigma-tilde(t) = 1/sigma(1/t): a z^4 term of sigma moves w^2 onwards
     (_drop_sigma_z4, ["curve"],
      ["sigma-z4", "sigma-tilde-w2", "sigma-tilde-w3", "sigma-tilde-w4", "odd-principal-parts-rho"]),
@@ -332,6 +341,14 @@ ROUTE_MUTATIONS = [
     # symmetric and of degree 1 in each t_i, divisible by no t_i^2
     (_w03_plus(_T[0] * _T[1] * _T[2]), ["bm", "--g", "0", "--n", "3"],
      ["w-divisible-0-3", "w-three-forms-0-3", "w-fit-reconstruction-0-3", "w-x-expansion-0-3"]),
+    # every connected number read by criterion 3 off by one: the spot values
+    # and the brute-force comparison
+    (_criterion_alone(3, lambda mp: _plus(mp, harness, "h_connected", lambda g, mu: 1)), ["all"],
+     ["c3:brute-vs-character", "c3:spot-h-1-(2)", "c3:spot-h-0-(1,1,1)"]
+     + [f"c3:spot-h-0-({a})" for a in range(1, 7)]),
+    # the top psi coefficient of P_{1,2} is one of the coefficients compared
+    (lambda mp: _plus(mp, hodge, "hodge_integral", lambda g, k: int(tuple(k) == (2, 0))),
+     ["elsv", "--g", "1", "--n", "2"], ["elsv-coefficients-1-2", "elsv-top-coefficient-1-2"]),
 ]
 
 
@@ -346,8 +363,9 @@ def fresh_sigma_caches():
         f.cache_clear()
 
 
-@pytest.mark.parametrize("mutate, argv, names", ROUTE_MUTATIONS,
-                         ids=["sigma-z4-dropped", "doubled-r-from-curve", "w-degree", "w-divisible"])
+@pytest.mark.parametrize("mutate, argv, names", CLI_ROUTE_MUTATIONS,
+                         ids=["sigma-z4-dropped", "doubled-r-from-curve", "w-degree", "w-divisible",
+                              "spot-h", "elsv-top-coefficient"])
 def test_cli_route_mutation_fails_its_rows(monkeypatch, capsys, fresh_sigma_caches,
                                            mutate, argv, names):
     mutate(monkeypatch)
@@ -429,7 +447,7 @@ def test_elsv_row_names_the_first_mismatch(monkeypatch):
     assert row["status"] == "fail"
     assert row["lhs"] == f"mismatch at mu^(0, 2): fit {lhs}, Hodge {real(1, (0, 2)) + 1}"
     assert "Fraction(" not in row["lhs"]
-    assert "elsv-top-coefficient-1-2" not in rows
+    assert rows["elsv-top-coefficient-1-2"]["status"] == "pass"
 
 
 def test_each_fit_is_cached_once(fresh_fit_cache):

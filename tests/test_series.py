@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hurwitzlab.multipoly import MultiPoly
 from hurwitzlab.series import (
     Series,
     bernoulli_exponent_series,
@@ -361,3 +362,13 @@ def test_a_series_operand_is_an_outer_series():
     u = Series.x(3)
     assert Series(1, [1, 1], 3) * u == Series(2, [1, 1], 4)
     assert Series(1, [1, 1], 3) + u == Series(1, [2, 1], 3)
+
+
+def test_product_over_multipoly_holds_no_int_coefficient():
+    # an empty slot of a product is a zero of the product's own type
+    p = MultiPoly.var(1, 0)
+    for a, b in ((Series(0, [p], None), Series(0, [p, 0, p], None)),
+                 (Series(0, [Fraction(1), 0, Fraction(2)], None), Series(0, [p], None))):
+        prod = a * b
+        assert len(prod.coeffs) == 3 and prod.coeffs[1] == 0
+        assert all(isinstance(c, MultiPoly) for c in prod.coeffs), prod.coeffs
