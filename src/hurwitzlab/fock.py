@@ -323,14 +323,22 @@ def a_connected(mu, u_order: int) -> Series:
     """Connected A-correlator via rooted inclusion-exclusion."""
     mu = tuple(int(m) for m in mu)
     n = len(mu)
-    # products of Laurent factors lose validity, so work with headroom
-    work = u_order + n + 1
+    # A correlator of k points has u-valuation >= -k (a_vev: the k of a path
+    # sum to 0, and each operator adds at most one E_0 step); so has every
+    # series of a block of k points below.  With the correlators known through
+    # w, conn(T) * disc(R) is known through min(ord conn(T) - |R|, w - |T|),
+    # so conn(X) through w + 1 - |X|: u^u_order needs w = u_order + n - 1.
+    # One less leaves the root's u^-1 times the rest's u^(1-n) unknown.
+    work = u_order + n - 1
     disc = {}
     for mask in range(1, 1 << n):
         subset = frozenset(i for i in range(n) if mask >> i & 1)
         sub_mu = tuple(mu[i] for i in sorted(subset))
         disc[subset] = a_correlator(sub_mu, work)
-    return connected_from_disconnected(disc, range(n)).truncate(u_order)
+    got = connected_from_disconnected(disc, range(n))
+    if got.order is not None and got.order < u_order:
+        raise ValueError("internal working order too small for the request")
+    return got.truncate(u_order)
 
 
 def a_polynomiality_check(n: int, k: int, degree: int, holdout_points) -> dict:

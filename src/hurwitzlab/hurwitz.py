@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 from .multipoly import MultiPoly
 from .partitions import (
@@ -59,37 +59,43 @@ def branch_count(g: int, mu) -> int:
 
 @lru_cache(maxsize=None)
 def _f2_dim(beads: int) -> tuple[int, int]:
-    """(f2(lam), dim lam) for the partition lam held as d = |lam| beads.
-
-    With the bead positions p, f2 = sum C(p, 2) - C(d, 3) - d(d - 1) (the
-    content sum shifted by the positions of the empty partition), and the
-    Frobenius formula dim = d! * Delta(p) / prod p! over the beads above the
-    filled run at the bottom, counted from the top of that run."""
-    d = beads.bit_count()
-    pos = [p for p in range(beads.bit_length()) if beads >> p & 1]
-    f2 = sum(p * (p - 1) // 2 for p in pos) - comb(d, 3) - d * (d - 1)
-    run = (beads ^ (beads + 1)).bit_length() - 1
-    top = [p - run for p in pos[run:]]
-    vandermonde = prod(q - p for p, q in combinations(top, 2))
-    return f2, factorial(d) * vandermonde // prod(factorial(p) for p in top)
+    """(f2(lam), dim lam) for the partition lam held as d = |lam| beads, by
+    removing lam's first row: the top bead is lam_1 = top - (d - 1), the
+    row's hooks are its distances down to the lam_1 gaps below it, and the
+    rest of lam is the set without that bead, shifted down by lam_1 - 1.
+    Then f2 = C(lam_1, 2) + f2(rest) - |rest| (the rest's contents drop by
+    one) and dim = dim(rest) * d! / ((d - lam_1)! * prod hooks)."""
+    if not beads:
+        return 0, 1
+    d, top = beads.bit_count(), beads.bit_length() - 1
+    row = top - (d - 1)
+    digits, hooks, at = bin(beads), 1, 2  # digits[2 + j] is the bead top - j
+    for _ in range(row):
+        at = digits.find("0", at + 1)
+        hooks *= at - 2
+    f2, dim = _f2_dim((beads ^ 1 << top) >> (row - 1))
+    return comb(row, 2) + f2 - (d - row), dim * perm(d, row) // hooks
 
 
 @lru_cache(maxsize=None)
-def _f2_weights(mu: Partition) -> tuple[tuple[int, int], ...]:
-    """Pairs (f2, sum of dim_lam * chi^lam(mu) over the lam with that f2),
-    over the support of the character column; f2 is always an integer."""
+def _f2_weights(mu: Partition) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The character sum of mu as (even, odd): pairs (f, c), f >= 0, c != 0,
+    with c = w_f +- w_-f for b of that parity, w_f the sum of dim_lam *
+    chi^lam(mu) over the lam with f2(lam) = f; w_0 counts once, for even b."""
     weights: dict[int, int] = {}
     for beads, chi in _bead_column(mu[::-1]).items():
         f2, dim = _f2_dim(beads)
         weights[f2] = weights.get(f2, 0) + dim * chi
-    return tuple((f2, w) for f2, w in weights.items() if w)
+    w, sizes = weights.get, {abs(f) for f in weights}
+    return (tuple((f, c) for f in sizes if (c := w(f, 0) + (w(-f, 0) if f else 0))),
+            tuple((f, c) for f in sizes if f and (c := w(f, 0) - w(-f, 0))))
 
 
 @lru_cache(maxsize=None)
 def _character_count(mu: Partition, b: int) -> int:
     """Factorizations of one fixed permutation of cycle type mu into b
     transpositions: sum_lam dim_lam chi^lam(mu) f2(lam)^b / d!, exactly."""
-    return sum(w * f2**b for f2, w in _f2_weights(mu)) // factorial(sum(mu))
+    return sum(c * f**b for f, c in _f2_weights(mu)[b % 2]) // factorial(sum(mu))
 
 
 def disconnected_by_b(mu, b: int) -> Fraction:

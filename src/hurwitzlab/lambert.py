@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .multipoly import MultiPoly
 from .series import Series, exp_series, log1p_series
@@ -99,28 +100,33 @@ def x_expand(poly: MultiPoly, x_order: int) -> dict:
     poly the rest are not read, so a caller that relies on the reduction
     checks symmetry separately (as the ``w-symmetric`` row does for W)."""
     n = poly.nvars
-    tx = t_of_x(x_order)
     maxdeg = max((poly.degree(i) for i in range(n)), default=0)
-    tpows = tx.powers(0, maxdeg, x_order)
+    tpows = t_of_x(x_order).powers(0, maxdeg, x_order)
+    # integer numerators: one common denominator for t^k, one for poly
+    rows = [[Fraction(tpows[k].coeff(m)) for m in range(x_order + 1)] for k in range(maxdeg + 1)]
+    t_den = lcm(*(c.denominator for row in rows for c in row))
+    rows = [[c.numerator * (t_den // c.denominator) for c in row] for row in rows]
+    p_den = lcm(*(c.denominator for c in poly.terms.values()))
 
-    def rec(p: MultiPoly, i: int) -> dict:
+    def rec(terms: dict, i: int) -> dict:
         if i == n:
-            return {(): p.coeff((0,) * n)}
+            return terms
+        groups: dict = {}
+        for e, c in terms.items():
+            groups.setdefault(e[0], {})[e[1:]] = c
         out: dict = {}
-        for power, coef in enumerate(p.as_poly_in(i)):
-            if coef.is_zero():
-                continue
-            tail = rec(coef, i + 1)
-            ser = tpows[power]
-            for suffix, cval in tail.items():
+        for power, rest in groups.items():
+            row = rows[power]
+            for suffix, cval in rec(rest, i + 1).items():
                 for mi in range(suffix[0] if suffix else 0, x_order + 1):
-                    c = ser.coeff(mi) * cval
-                    if c:
+                    if row[mi]:
                         key = (mi,) + suffix
-                        out[key] = out.get(key, Fraction(0)) + c
+                        out[key] = out.get(key, 0) + row[mi] * cval
         return {k: v for k, v in out.items() if v}
 
-    return rec(poly, 0)
+    nums = {e: c.numerator * (p_den // c.denominator) for e, c in poly.terms.items()}
+    den = p_den * t_den**n
+    return {k: Fraction(v, den) for k, v in rec(nums, 0).items()}
 
 
 def poly_to_w_laurent(p: MultiPoly, order: int) -> Series:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -27,7 +27,7 @@ from hurwitzlab.fock import (
     vacuum,
     vev_hurwitz,
 )
-from hurwitzlab.hurwitz import disconnected_by_b
+from hurwitzlab.hurwitz import connected_from_disconnected, disconnected_by_b
 from hurwitzlab.multipoly import MultiPoly
 from hurwitzlab.partitions import central_character_f2, dim_hook, enumerate_partitions, mn_character
 from hurwitzlab.series import Series
@@ -580,3 +580,30 @@ def test_worst_status_ranks_fail_over_inconclusive_over_pass():
     assert _worst_status({"pass", "inconclusive"}) == "inconclusive"
     assert _worst_status({"inconclusive", "fail"}) == "fail"
     assert _worst_status(set()) == "pass"
+
+
+def test_connected_work_order_equals_the_old_headroom():
+    # work = u_order + n - 1 against the earlier u_order + n + 1: Series ==
+    # compares the validity orders and, unless both are 0, low and coefficients
+    for d in range(1, 6):
+        for mu in enumerate_partitions(d):
+            n = len(mu)
+            for u_order in range(0, 4):
+                disc = {frozenset(s): a_correlator(tuple(mu[i] for i in s), u_order + n + 1)
+                        for k in range(1, n + 1) for s in combinations(range(n), k)}
+                want = connected_from_disconnected(disc, range(n)).truncate(u_order)
+                got = a_connected(mu, u_order)
+                assert got == want and got.order == u_order, (mu, u_order)
+
+
+def test_connected_work_order_one_below_raises(monkeypatch):
+    # the root's u^-1 times the rest's u^(1-n) is then unknown at u^u_order
+    from hurwitzlab import fock
+
+    real = fock.a_correlator
+    monkeypatch.setattr(fock, "a_correlator", lambda mu, w: real(mu, w - 1))
+    for d in range(1, 6):
+        for mu in enumerate_partitions(d):
+            for u_order in range(0, 4):
+                with pytest.raises(ValueError, match="working order too small"):
+                    fock.a_connected(mu, u_order)

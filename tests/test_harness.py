@@ -560,11 +560,13 @@ ROUTE_MUTATIONS = [
      lambda mp: _plus(mp, fock, "vev_hurwitz", lambda g, mu: int((g, mu) == (0, (2, 1)))),
      lambda: harness.campaign_fock(1, 1, 5),
      "mismatch at mu=[2, 1], b=3: wedge 11/2, character 9/2"),
-    # a_correlator at u-order 1 is read by the one-point rows alone
+    # the u^0 term of a_correlator((3,), 1) is read by the one-point rows
+    # alone: the two-point row, through a_connected((1, 3), 0), multiplies it
+    # by the u^0 term of the one-point correlator of 1, which is 0
     ("one-point-expansion-z3",
-     lambda mp: _plus(mp, fock, "a_correlator", lambda mu, u: Series(1, [Fraction(1)], u)
+     lambda mp: _plus(mp, fock, "a_correlator", lambda mu, u: Series.const(Fraction(1), u)
                       if (mu, u) == ((3,), 1) else 0),
-     lambda: harness.campaign_fock(1, 1, 5), "mismatch at u^1: correlator 5/4, printed 1/4"),
+     lambda: harness.campaign_fock(1, 1, 5), "mismatch at u^0: correlator 1, printed 0"),
     ("odd-principal-parts-rho",
      lambda mp: _plus(mp, lambert, "rho_poly", lambda k: MultiPoly.var(1, 0, 2) if k == 2 else 0),
      lambda: harness.campaign_curve(12), "mismatch at rho_2, w^-2: symmetrized 2, holomorphic 0"),

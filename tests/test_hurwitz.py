@@ -8,6 +8,7 @@ import pytest
 
 from hurwitzlab.hurwitz import (
     _f2_dim,
+    _f2_weights,
     ConflictError,
     HurwitzTable,
     PolynomialityError,
@@ -23,7 +24,12 @@ from hurwitzlab.hurwitz import (
     simplex_interpolate,
 )
 from hurwitzlab.multipoly import MultiPoly
-from hurwitzlab.partitions import central_character_f2, dim_hook, enumerate_partitions
+from hurwitzlab.partitions import (
+    central_character_f2,
+    dim_hook,
+    enumerate_partitions,
+    mn_character,
+)
 
 
 def test_branch_count():
@@ -41,13 +47,55 @@ def test_disconnected_character_values():
         assert disconnected_by_b(mu, 0) == 1
 
 
+def _random_partition(rng, d):
+    parts = []
+    while d:
+        parts.append(rng.randint(1, d))
+        d -= parts[-1]
+    return tuple(sorted(parts, reverse=True))
+
+
 def test_bead_f2_and_dim_match_the_content_sum_and_hook_lengths():
-    # lam as |lam| beads: the k-th part from the top at lam_k + |lam| - 1 - k
-    for d in range(0, 13):
-        for lam in enumerate_partitions(d):
-            parts = lam + (0,) * (d - len(lam))
-            beads = sum(1 << (a + d - 1 - k) for k, a in enumerate(parts))
-            assert _f2_dim(beads) == (central_character_f2(lam), dim_hook(lam)), lam
+    # lam as |lam| beads: the k-th part from the top at lam_k + |lam| - 1 - k;
+    # every partition through d = 12, then seeded samples through d = 30,
+    # where removing first rows reaches its deepest rests
+    rng = random.Random(29)
+    samples = [lam for d in range(0, 13) for lam in enumerate_partitions(d)]
+    samples += [_random_partition(rng, d) for d in range(13, 31) for _ in range(12)]
+    samples += [(1,) * 30, (30,), (5,) * 6, (6,) * 5, (8, 7, 6, 5, 3, 1)]
+    for lam in samples:
+        d = sum(lam)
+        parts = lam + (0,) * (d - len(lam))
+        beads = sum(1 << (a + d - 1 - k) for k, a in enumerate(parts))
+        assert _f2_dim(beads) == (central_character_f2(lam), dim_hook(lam)), lam
+
+
+def test_character_count_matches_the_removal_route():
+    # sum over lam of dim * chi^lam(mu) * f2^b / d!, chi by removing border
+    # strips from lam, f2 the content sum; b of the wrong parity gives 0
+    for d in range(1, 9):
+        lams = enumerate_partitions(d)
+        for mu in lams:
+            terms = [(dim_hook(lam) * mn_character(lam, mu), central_character_f2(lam))
+                     for lam in lams]
+            for b in range(0, 11):
+                want = Fraction(sum(w * f2**b for w, f2 in terms), factorial(d))
+                assert disconnected_by_b(mu, b) * prod(mu) == want, (mu, b)
+                if (b - d + len(mu)) % 2:
+                    assert want == 0, (mu, b)
+
+
+def test_f2_weights_of_the_impossible_parity_are_empty():
+    # a product of b transpositions has sign (-1)^b, so b = d - len(mu)
+    # (mod 2); the other parity's sum is empty only because the bead column
+    # pairs lam with its conjugate, of opposite f2 and sign chi^lam(mu)
+    # times (-1)^(d - len(mu))
+    for d in range(1, 13):
+        for mu in enumerate_partitions(d):
+            weights = _f2_weights(mu)
+            assert weights[(d - len(mu)) % 2], mu
+            assert weights[(d - len(mu) + 1) % 2] == (), mu
+            assert all(f >= 0 and c for part in weights for f, c in part), mu
 
 
 def test_connected_values():

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -221,3 +224,38 @@ def test_t_of_x_constant():
     t = t_of_x(5)
     assert t.coeff(0) == -1
     assert t.coeff(1) == -1
+
+
+def _x_expand_by_series(poly: MultiPoly, order: int) -> dict:
+    """x_expand term by term in Fractions: each t_i^e is the Series power
+    t(x)^e, read at every non-increasing exponent tuple."""
+    tx = t_of_x(order)
+    pows = {e: tx**e for term in poly.terms for e in term}
+    out = {}
+    for key in product(range(order + 1), repeat=poly.nvars):
+        if list(key) != sorted(key, reverse=True):
+            continue
+        c = sum(coef * prod((pows[e].coeff(m) for e, m in zip(term, key)), start=Fraction(1))
+                for term, coef in poly.terms.items())
+        if c:
+            out[key] = c
+    return out
+
+
+def test_x_expand_matches_the_series_substitution():
+    # seeded polynomials with mixed denominators, against Fraction arithmetic
+    rng = random.Random(6)
+    cases = []
+    for n in range(1, 4):
+        for _ in range(4):
+            terms = {tuple(rng.randint(0, 4) for _ in range(n)):
+                     Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 12]))
+                     for _ in range(rng.randint(1, 5))}
+            cases.append(MultiPoly(n, terms))
+    # 2(1 + t)/3 = -2x/3 - ...: the constant terms cancel, so (0,) is absent
+    cases.append(MultiPoly(1, {(0,): Fraction(2, 3), (1,): Fraction(2, 3)}))
+    for poly in cases:
+        for order in (1, 4, 6):
+            want = _x_expand_by_series(poly, order)
+            assert x_expand(poly, order) == want, (poly, order)
+    assert (0,) not in x_expand(cases[-1], 6)
