@@ -162,7 +162,7 @@ def pair_exp_alpha1(v: dict):
 def e_operator_apply(n: int, j: int, v: dict) -> dict:
     """Coefficient of z^j in E_n(z) v, including the n = 0 regularization."""
     if n == 0:
-        return _apply(v, lambda lam: {lam: _diagonal_e0_x(lam, max(j, 0)).coeff(j)})
+        return _apply(v, lambda lam: {lam: _diagonal_e0(lam, max(j, 0), 1).coeff(j)})
     if j < 0:
         return {}
     return _apply(v, lambda lam: {mu: sign * rate**j / factorial(j)
@@ -187,20 +187,13 @@ def vev_hurwitz(g: int, mu) -> Fraction:
 # -- A-operators at a positive integer ----------------------------------------------
 
 
-def _x_to_u(xser: Series, m: int, u_order: int) -> Series:
-    """Substitute x = u*m into a series in x."""
-    order = None if xser.order is None else min(xser.order, u_order)
-    hi = xser.high if order is None else min(xser.high, order)
-    coeffs = [xser.coeff(k) * Fraction(m) ** k for k in range(xser.low, hi + 1)]
-    return Series(xser.low, coeffs, order)
-
-
-def _a_row(lam: Partition, term, lift, cutoff: int, memo: dict, kmin: int) -> dict:
-    """Row lam of sum_k c_k E_k(x), each E_k(x) entry lifted by ``lift``.
+def _a_row(lam: Partition, term, scale: int, cutoff: int, memo: dict, kmin: int) -> dict:
+    """Row lam of sum_k c_k E_k(scale x), a series in x: scale 1 for the
+    symbolic reading, where x = uz, and m for the one at z = m, where x = u.
 
     ``term(k)`` gives c_k and read_k, the last power of x its product with
     the entry reads.  The entry is the E_0 diagonal at k = 0 and
-    sign * e^{rate x} for each move otherwise, built through x^read_k.  Off
+    sign * e^{rate scale x} for each move otherwise, built through x^read_k.  Off
     the diagonal that product depends on lam only through (k, rate): it is
     built once per operator into ``memo``, and each move applies its sign.
     Only the k >= kmin that land in [0, cutoff] are asked for, so no state
@@ -211,12 +204,12 @@ def _a_row(lam: Partition, term, lift, cutoff: int, memo: dict, kmin: int) -> di
     for k in range(max(e - cutoff, kmin), e + 1):
         ck, read = term(k)
         if k == 0:
-            row[lam] = ck * lift(_diagonal_e0_x(lam, read))
+            row[lam] = ck * _diagonal_e0(lam, read, scale)
             continue
         for nu, sign, rate in _e_moves(lam, k):
             entry = memo.get((k, rate))
             if entry is None:
-                entry = memo[(k, rate)] = ck * lift(exp_series(read, rate))
+                entry = memo[(k, rate)] = ck * exp_series(read, rate * scale)
             row[nu] = entry * sign
     return row
 
@@ -225,7 +218,7 @@ def _a_row(lam: Partition, term, lift, cutoff: int, memo: dict, kmin: int) -> di
 def _integer_operator(m: int, w: int):
     """zeta(um), 1/zeta(um) and the prefactor (zeta(um)/(um))^m through u^w,
     and the (k, rate) entry memo shared by every A(m, um) at work order w."""
-    zeta_u = _x_to_u(zeta_series(w + m + 4), m, w + m + 2)
+    zeta_u = zeta_series(w + m + 2, m)
     # zeta(um)/(um): shift down one power of u, divide by m
     zeta_over_um = Series(0, [zeta_u.coeff(k + 1) / m for k in range(0, w + 1)], w)
     return zeta_u, zeta_u.reciprocal(w), zeta_over_um**m, {}
@@ -256,24 +249,27 @@ def apply_a_integer(m: int, v: dict, work_order: int, cutoff: int) -> dict:
     if m <= 0:
         raise ValueError("integer A-operator needs a positive argument")
     w, memo = work_order, _integer_operator(m, work_order)[3]
-    term, lift = (lambda k: (_integer_coeff(m, w, k), w)), (lambda s: _x_to_u(s, m, w))
-    return _apply(v, lambda lam: _a_row(lam, term, lift, cutoff, memo, -m))
+
+    def term(k):
+        return _integer_coeff(m, w, k), w
+
+    return _apply(v, lambda lam: _a_row(lam, term, m, cutoff, memo, -m))
 
 
 @lru_cache(maxsize=None)
-def _inv_zeta_x(order: int) -> Series:
-    """1/zeta(x) through x^order, shared by the E_0 diagonals of every lam."""
-    return zeta_series(order + 2).reciprocal(order)
+def _inv_zeta(order: int, scale: int) -> Series:
+    """1/zeta(scale x) through x^order, shared by the E_0 diagonals of every lam."""
+    return zeta_series(order + 2, scale).reciprocal(order)
 
 
 @lru_cache(maxsize=None)
-def _diagonal_e0_x(lam: Partition, order: int) -> Series:
-    """E_0(x) eigenvalue on v_lambda as a Laurent series in the argument x."""
-    acc = _inv_zeta_x(order)
+def _diagonal_e0(lam: Partition, order: int, scale: int) -> Series:
+    """E_0(scale x) eigenvalue on v_lambda as a Laurent series in x."""
+    acc = _inv_zeta(order, scale)
     for i, a in enumerate(lam):
         top = Fraction(2 * a - 2 * i - 1, 2)
         bot = Fraction(-2 * i - 1, 2)
-        acc = acc + (exp_series(order, top) - exp_series(order, bot))
+        acc = acc + (exp_series(order, top * scale) - exp_series(order, bot * scale))
     return acc
 
 
@@ -438,7 +434,7 @@ def a_symbolic_matrix(z_order: int, cutoff: int):
     terms = {k: (ck, z_order - ck.low) for k, ck in coeff.items()}
     out, memo = {}, {}
     for lam in basis:
-        for nu, entry in _a_row(lam, terms.get, lambda s: s, cutoff, memo, -cutoff).items():
+        for nu, entry in _a_row(lam, terms.get, 1, cutoff, memo, -cutoff).items():
             out[(lam, nu)] = _cut(entry, z_order)
     return out
 

@@ -238,82 +238,25 @@ def divexact_linear_diff(p: MultiPoly, k: int, j: int) -> MultiPoly:
 
 
 class RatFn:
-    """Unreduced quotient of two polynomials; equality by cross-multiplication."""
+    """Unreduced quotient of two polynomials, with the sum and the partial
+    derivatives that ``hodge.bergman_compat_check`` reads."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        if den is None:
-            den = MultiPoly.const(num.nvars, 1)
+    def __init__(self, num: MultiPoly, den: MultiPoly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.den = den
 
-    @staticmethod
-    def const(nvars: int, c) -> "RatFn":
-        return RatFn(MultiPoly.const(nvars, c))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, RatFn):
-            return other
-        if isinstance(other, MultiPoly):
-            return RatFn(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFn.const(self.num.nvars, other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def __add__(self, other: "RatFn") -> "RatFn":
         return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RatFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self):
-        if self.num.is_zero():
-            raise ZeroDivisionError("reciprocal of zero")
-        return RatFn(self.den, self.num)
 
     def deriv(self, i: int) -> "RatFn":
         return RatFn(
             self.num.deriv(i) * self.den - self.num * self.den.deriv(i),
             self.den * self.den,
         )
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __repr__(self):
-        return f"({self.num!r})/({self.den!r})"
 
 
 __all__ = ["MultiPoly", "RatFn", "divexact_linear_diff"]

@@ -152,13 +152,16 @@ def _splits(g: int, rest: tuple):
             yield g1, A, g - g1, B
 
 
+def _aut(parts) -> int:
+    """prod mult! over the distinct entries of ``parts``, zero allowed: |Aut|
+    of a partition, or the symmetry factor of a psi-class monomial."""
+    return prod(factorial(parts.count(a)) for a in set(parts))
+
+
 def z_aut(mu) -> tuple[int, int]:
     """(z_mu, |Aut(mu)|) = (prod parts * prod mult!, prod mult!)."""
     mu = check_partition(mu)
-    mults: dict[int, int] = {}
-    for a in mu:
-        mults[a] = mults.get(a, 0) + 1
-    aut = prod(factorial(m) for m in mults.values())
+    aut = _aut(mu)
     return prod(mu) * aut, aut
 
 

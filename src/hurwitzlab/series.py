@@ -7,7 +7,7 @@ marks an exact (polynomial/Laurent-polynomial) series.  Arithmetic propagates
 the minimal valid order of its inputs.  ``compose`` is the one substitution:
 ``exp``, ``log`` and the unit part of ``reciprocal`` substitute into the stock
 series below, and ``powers`` builds every table of truncated powers;
-``reverse`` reads its Lagrange inversion off one such table.
+``**`` and ``reverse`` each read one such table.
 
 Coefficients are Fractions, ints or ``MultiPoly`` polynomials.  A ``Series``
 coefficient raises ``TypeError``, since arithmetic would read it as a series
@@ -207,16 +207,7 @@ class Series:
         return self.__mul__(other)
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        result = Series.const(Fraction(1), None)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return self.powers(min(n, 0), max(n, 0), None)[n]
 
     def truncate(self, order):
         """Restrict the validity order (never extends it)."""
@@ -364,14 +355,12 @@ def log1p_series(order: int) -> Series:
     )
 
 
-def zeta_series(order: int) -> Series:
-    """zeta(z) = e^{z/2} - e^{-z/2}, an odd series with leading term z."""
-    coeffs = []
-    for k in range(1, order + 1, 2):
-        m = (k - 1) // 2
-        coeffs.append(Fraction(1, 4**m * factorial(k)))
-        coeffs.append(Fraction(0))
-    return Series(1, coeffs[: order], order)
+def zeta_series(order: int, rate=1) -> Series:
+    """zeta(rate z) = e^(rate z/2) - e^(-rate z/2) through z^order, an odd
+    series with leading term rate z."""
+    rate = Fraction(rate)
+    return Series(1, [rate**k / (2 ** (k - 1) * factorial(k)) if k % 2 else Fraction(0)
+                      for k in range(1, order + 1)], order)
 
 
 def bernoulli_exponent_series(order: int) -> Series:

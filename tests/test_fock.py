@@ -143,12 +143,12 @@ def test_e_commutator_diagonal_case():
     # side is the scalar zeta(s) f_lambda(s) at s = z + w.
     from math import comb
 
-    from hurwitzlab.fock import _diagonal_e0_x
+    from hurwitzlab.fock import _diagonal_e0
     from hurwitzlab.series import zeta_series
 
     for lam in [(), (1,), (2, 1)]:
         v = {lam: Fraction(1)}
-        g = zeta_series(8) * _diagonal_e0_x(lam, 8)
+        g = zeta_series(8) * _diagonal_e0(lam, 8, 1)
         for p in range(0, 3):
             for q in range(0, 3):
                 got = _e_commutator_bidegree(1, -1, p, q, v)
@@ -156,6 +156,19 @@ def test_e_commutator_diagonal_case():
                 offdiag = {k: c for k, c in got.items() if k != lam}
                 assert offdiag == {}, (lam, p, q)
                 assert got.get(lam, Fraction(0)) == want, (lam, p, q)
+
+
+def test_diagonal_e0_at_a_scale():
+    # E_0(m x) read directly, and E_0(x) substituted at m x
+    from hurwitzlab.fock import _diagonal_e0
+
+    states = [lam for d in range(5) for lam in enumerate_partitions(d)]
+    for m in range(1, 7):
+        for n in range(11):
+            for lam in states:
+                got = _diagonal_e0(lam, n, m)
+                want = _diagonal_e0(lam, n, 1).compose(Series(1, [m], None))
+                assert (got.low, got.coeffs, got.order) == (want.low, want.coeffs, want.order)
 
 
 def test_e_commutator_determinant_orientation():

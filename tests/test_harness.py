@@ -316,6 +316,20 @@ def _w03_plus(extra):
     return mutate
 
 
+def _bergman_plus(key, extra):
+    """``extra`` added to the left side of the Bergman report's ``key``."""
+    def mutate(monkeypatch):
+        real = hodge.bergman_compat_check
+
+        def wrong():
+            rep = real()
+            lhs, rhs = rep[key]
+            return {**rep, key: (lhs + extra, rhs)}
+
+        monkeypatch.setattr(hodge, "bergman_compat_check", wrong)
+    return mutate
+
+
 _T = [MultiPoly.var(3, i) for i in range(3)]
 
 
@@ -349,6 +363,9 @@ CLI_ROUTE_MUTATIONS = [
     # the top psi coefficient of P_{1,2} is one of the coefficients compared
     (lambda mp: _plus(mp, hodge, "hodge_integral", lambda g, k: int(tuple(k) == (2, 0))),
      ["elsv", "--g", "1", "--n", "2"], ["elsv-coefficients-1-2", "elsv-top-coefficient-1-2"]),
+    # one side of the cross-multiplied identity, or of the ray series, off by a term
+    (_bergman_plus("identity", MultiPoly.var(2, 0)), ["curve"], ["bergman-identity"]),
+    (_bergman_plus("ray", Series.const(Fraction(1))), ["curve"], ["bergman-specialization"]),
 ]
 
 
@@ -365,7 +382,8 @@ def fresh_sigma_caches():
 
 @pytest.mark.parametrize("mutate, argv, names", CLI_ROUTE_MUTATIONS,
                          ids=["sigma-z4-dropped", "doubled-r-from-curve", "w-degree", "w-divisible",
-                              "spot-h", "elsv-top-coefficient"])
+                              "spot-h", "elsv-top-coefficient", "bergman-identity",
+                              "bergman-specialization"])
 def test_cli_route_mutation_fails_its_rows(monkeypatch, capsys, fresh_sigma_caches,
                                            mutate, argv, names):
     mutate(monkeypatch)
@@ -570,6 +588,10 @@ ROUTE_MUTATIONS = [
     ("odd-principal-parts-rho",
      lambda mp: _plus(mp, lambert, "rho_poly", lambda k: MultiPoly.var(1, 0, 2) if k == 2 else 0),
      lambda: harness.campaign_curve(12), "mismatch at rho_2, w^-2: symmetrized 2, holomorphic 0"),
+    ("bergman-identity", _bergman_plus("identity", MultiPoly.var(2, 0)), harness._bergman_rows,
+     "mismatch at t^(1, 0): lhs 1, rhs 0"),
+    ("bergman-specialization", _bergman_plus("ray", Series.const(Fraction(1))),
+     harness._bergman_rows, "mismatch at t^0: lhs 1, rhs 0"),
 ]
 
 

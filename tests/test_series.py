@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,44 @@ def test_exp_series_at_a_rate():
     z = Series.x(6)
     assert exp_series(6, -1) == exp_series(6).compose(-z)
     assert exp_series(6, Fraction(3, 2)) == exp_series(6).compose(z * Fraction(3, 2))
+
+
+def test_zeta_series_at_a_rate():
+    # zeta(m z) read directly, and zeta substituted at m z
+    for m in range(1, 7):
+        for n in range(11):
+            got, want = zeta_series(n, m), zeta_series(n).compose(Series(1, [m], None))
+            assert (got.low, got.coeffs, got.order) == (want.low, want.coeffs, want.order)
+
+
+def _seeded_series(rng, kind):
+    """A scalar series with a nonzero leading coefficient: ``laurent`` has a
+    pole and a finite order, ``exact`` no order, ``truncated`` a finite one."""
+    low = rng.randint(-3, -1) if kind == "laurent" else rng.randint(-2, 2)
+    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+    coeffs[0] = coeffs[0] or Fraction(1)
+    order = None if kind == "exact" else low + len(coeffs) - 1 + rng.randint(0, 3)
+    return Series(low, coeffs, order)
+
+
+def test_pow_is_the_product_of_its_factors():
+    # f^n against n factors of f, or of 1/f for n < 0, multiplied left to
+    # right; == compares the validity order too
+    rng = random.Random(0)
+    for kind in ("laurent", "exact", "truncated"):
+        for _ in range(60):
+            f = _seeded_series(rng, kind)
+            for n in range(-3, 7):
+                try:
+                    factor = f if n >= 0 else f.reciprocal()
+                except ValueError:  # 1/f of an exact f with two terms or more
+                    with pytest.raises(ValueError):
+                        f**n
+                    continue
+                want = Series.const(Fraction(1), None)
+                for _ in range(abs(n)):
+                    want = want * factor
+                assert f**n == want, (f, n)
 
 
 @given(st.integers(1, 2), _coeffs, _tail)
