@@ -12,9 +12,8 @@ campaign runs.
 the theorem's bound, on the simplex of points that fixes such a polynomial,
 and check it at --holdout further points.
 A fit that misses a holdout point exits 1, with one line on stderr.
-``hurwitz`` compares the character value with the cut-and-join table, which
-ends at |mu| = 10 and b = 16; past it the row is inconclusive (exit 2).  Two
-routes that disagree on a value exit 1.
+``hurwitz`` compares the character value with the cut-and-join counts, built
+per degree as far in b as the query needs.  Routes that disagree exit 1.
 """
 
 from __future__ import annotations

@@ -18,10 +18,9 @@ from . import __version__
 from .fock import _worst_status
 from .hurwitz import (
     HurwitzTable,
-    ResourceGuardError,
-    _cutjoin_table,
     _simplex,
     branch_count,
+    cut_and_join_evolve,
     disconnected_by_b,
     fit_P_polynomial,
     h_bruteforce,
@@ -160,14 +159,10 @@ def campaign_hurwitz(g: int, mu, table: HurwitzTable | None = None) -> list:
     name = f"h-connected-g{g}-mu{list(mu)}"
     # a second route's value enters the table only when it agrees, so a
     # disagreement is a fail row rather than a table conflict
-    try:
-        other = h_connected_cutjoin(g, mu)
-        checks.append(check(name, "character route vs cut-and-join table", val, other))
-        if other == val:
-            table.insert(g, mu, other, "cutjoin")
-    except ResourceGuardError:
-        checks.append(check(name, "cut-and-join table ends at d = 10, b = 16", val,
-                            "not computed", status="inconclusive"))
+    other = h_connected_cutjoin(g, mu)
+    checks.append(check(name, "character route vs cut-and-join table", val, other))
+    if other == val:
+        table.insert(g, mu, other, "cutjoin")
     d, b = sum(mu), branch_count(g, mu)
     if d <= 6 and b <= 8:
         brute = h_bruteforce(g, mu)
@@ -347,7 +342,7 @@ def _r_matrix_rows() -> list:
 
 
 def _hurwitz_route_rows() -> list:
-    table = _cutjoin_table()
+    table = cut_and_join_evolve(6, 8)
     partitions = [mu for d in range(1, 7) for mu in enumerate_partitions(d)]
     disconnected = ((f"mu={list(mu)}, b={b}", table[(mu, b)], disconnected_by_b(mu, b))
                     for mu in partitions for b in range(0, 9))

@@ -41,7 +41,8 @@ class ConflictError(Exception):
 
 
 class ResourceGuardError(Exception):
-    pass
+    """The monodromy count's guard, |mu| <= 7 and b <= 8: its walk grows
+    like |mu|!."""
 
 
 class PolynomialityError(Exception):
@@ -235,49 +236,39 @@ def _cutjoin_moves(mu: Partition):
     return moves
 
 
-def cut_and_join_evolve(d_max: int = 10, b_max: int = 16):
-    """Disconnected table {(mu, b): value} filled by the transposition recursion.
-
-    Base case b=0: one (empty) factorization of the identity, i.e. value 1 at
-    mu = (1,...,1) and 0 elsewhere.
-    """
-    if d_max > 10 or b_max > 16:
-        raise ResourceGuardError("cut-and-join bounds exceeded")
-    table: dict[tuple[Partition, int], Fraction] = {}
-    for d in range(1, d_max + 1):
-        types = enumerate_partitions(d)
-        moves = {mu: _cutjoin_moves(mu) for mu in types}
-        counts = {mu: 0 for mu in types}
-        counts[(1,) * d] = 1
-        for mu in types:
-            table[(mu, 0)] = Fraction(counts[mu], prod(mu))
-        for b in range(1, b_max + 1):
-            nxt = {}
-            for mu in types:
-                nxt[mu] = sum(mult * counts[nu] for nu, mult in moves[mu])
-            counts = nxt
-            for mu in types:
-                table[(mu, b)] = Fraction(counts[mu], prod(mu))
-    return table
-
-
 @lru_cache(maxsize=None)
-def _cutjoin_table():
-    return cut_and_join_evolve()
+def _cutjoin_rows(d: int) -> tuple[dict, list]:
+    """The cut-and-join moves of every mu |- d and the count rows built so
+    far: row b maps mu to the factorizations of one fixed permutation of
+    type mu into b transpositions.  Row 0 counts the empty factorization of
+    the identity; ``_cutjoin_count`` appends the rows a query needs."""
+    moves = {mu: _cutjoin_moves(mu) for mu in enumerate_partitions(d)}
+    return moves, [{mu: int(mu == (1,) * d) for mu in moves}]
 
 
-def _cutjoin_count(mu: Partition, b: int):
-    """The factorization count read back from the cut-and-join table, as a
-    Fraction with denominator 1."""
-    if (mu, b) not in _cutjoin_table():
-        raise ResourceGuardError(f"cut-and-join table guard: |mu|={sum(mu)}, b={b}")
-    return _cutjoin_table()[(mu, b)] * prod(mu)
+def _cutjoin_count(mu: Partition, b: int) -> int:
+    """The factorization count of one fixed permutation of cycle type mu
+    into b transpositions, from the transposition recursion: multiplying by
+    the last transposition moves mu to each nu of ``_cutjoin_moves(mu)``."""
+    moves, rows = _cutjoin_rows(sum(mu))
+    while len(rows) <= b:
+        last = rows[-1]
+        rows.append({nu: sum(mult * last[lam] for lam, mult in moves[nu]) for nu in moves})
+    return rows[b][mu]
+
+
+def cut_and_join_evolve(d_max: int = 10, b_max: int = 16):
+    """Disconnected table {(mu, b): value} for |mu| <= d_max and b <= b_max,
+    read from the per-degree cut-and-join counts."""
+    return {(mu, b): Fraction(_cutjoin_count(mu, b), prod(mu))
+            for d in range(1, d_max + 1) for mu in enumerate_partitions(d)
+            for b in range(b_max + 1)}
 
 
 h_connected_cutjoin = _connected_route(
     _cutjoin_count,
-    """h(g; mu) from the cut-and-join table, built once per process at its
-    guard d <= 10, b <= 16; beyond the table a ResourceGuardError.""",
+    """h(g; mu) from the cut-and-join counts, one table per degree |mu|,
+    built as far in b as the query needs.""",
 )
 
 

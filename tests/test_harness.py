@@ -56,12 +56,12 @@ def test_cli_hurwitz_value(tmp_path, capsys):
     assert all(row["status"] == "pass" for row in rep["checks"])
 
 
-def test_cli_hurwitz_beyond_the_cut_and_join_table_is_inconclusive(capsys):
-    # d = 11: no second route, so the row is inconclusive, not a pass
-    assert main(["hurwitz", "--g", "3", "--mu", "6,5"]) == 2
+def test_cli_hurwitz_at_degree_11_compares_both_routes(capsys):
+    # d = 11: the cut-and-join counts are built for any degree
+    assert main(["hurwitz", "--g", "3", "--mu", "6,5"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert [(row["name"], row["status"]) for row in rep["checks"]] == [
-        ("h-connected-g3-mu[6, 5]", "inconclusive")
+    assert [(row["name"], row["ref"], row["status"]) for row in rep["checks"]] == [
+        ("h-connected-g3-mu[6, 5]", "character route vs cut-and-join table", "pass")
     ]
 
 
@@ -69,20 +69,24 @@ def test_hurwitz_row_compares_against_the_cut_and_join_table(monkeypatch, capsys
     rows = harness.campaign_hurwitz(2, (4, 3))
     assert rows[0]["ref"] == "character route vs cut-and-join table"
     assert rows[0]["status"] == "pass"
-    # a wrong disconnected-number source disagrees with the character route
-    real = hurwitz.cut_and_join_evolve
+    # doubled move multipliers scale every count at b by 2^b, so the
+    # cut-and-join value disagrees with the character route
+    real = hurwitz._cutjoin_moves
     monkeypatch.setattr(
-        hurwitz, "cut_and_join_evolve", lambda: {k: 2 * v for k, v in real().items()}
+        hurwitz, "_cutjoin_moves", lambda mu: [(nu, 2 * mult) for nu, mult in real(mu)]
     )
-    hurwitz._cutjoin_table.cache_clear()
+    hurwitz._cutjoin_rows.cache_clear()
     hurwitz.h_connected_cutjoin.cache_clear()
     try:
         row = harness.campaign_hurwitz(1, (2,), HurwitzTable())[0]
-        assert (row["status"], row["lhs"], row["rhs"]) == ("fail", "1/2", "1")
-        assert main(["hurwitz", "--g", "2", "--mu", "4,3"]) == 1
-        assert json.loads(capsys.readouterr().out)["checks"][0]["status"] == "fail"
+        assert (row["status"], row["lhs"], row["rhs"]) == ("fail", "1/2", "4")
+        for g, mu in [("2", "4,3"), ("3", "6,5")]:
+            assert main(["hurwitz", "--g", g, "--mu", mu]) == 1
+            captured = capsys.readouterr()
+            assert json.loads(captured.out)["checks"][0]["status"] == "fail"
+            assert "Traceback" not in captured.err
     finally:
-        hurwitz._cutjoin_table.cache_clear()
+        hurwitz._cutjoin_rows.cache_clear()
         hurwitz.h_connected_cutjoin.cache_clear()
 
 

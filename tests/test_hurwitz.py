@@ -177,10 +177,11 @@ def test_bruteforce_guard():
 
 
 def test_cut_and_join_matches_character_route():
-    table = cut_and_join_evolve(d_max=6, b_max=8)
-    for d in range(1, 7):
+    # every mu |- d <= 12 through b = 26, which is b <= 2d + 2 at d = 11, 12
+    table = cut_and_join_evolve(d_max=12, b_max=26)
+    for d in range(1, 13):
         for mu in enumerate_partitions(d):
-            for b in range(0, 9):
+            for b in range(0, 27):
                 assert table[(mu, b)] == disconnected_by_b(mu, b), (mu, b)
 
 
